@@ -113,19 +113,29 @@ impl AmrTree {
         if dim == Dim::D2 && base[2] != 1 {
             return Err(AmrError::InvalidStructure("2-D base grid must have nz = 1"));
         }
-        let finest = base.iter().map(|&b| b << max_level).max().expect("3 dims");
-        if finest > 1 << COORD_BITS {
+        // Compare against the level-0 side a finest grid of 2^21 allows, so
+        // a huge base cannot wrap the shift.
+        let max_base = (1usize << COORD_BITS).checked_shr(max_level).unwrap_or(0);
+        if base.iter().any(|&b| b > max_base) {
             return Err(AmrError::InvalidStructure(
                 "finest grid exceeds 21-bit coords",
             ));
         }
+        // Cell and leaf indices are u32 (here and in every recipe).
+        let base_cells = (base[0] as u64) * (base[1] as u64) * (base[2] as u64);
+        if base_cells > u64::from(u32::MAX) {
+            return Err(AmrError::InvalidStructure("more cells than u32 indices"));
+        }
 
-        // Enumerate existing cells level by level.
+        // Enumerate existing cells level by level. `current` holds the
+        // level's cells as sorted packed keys; every scratch array below is
+        // sized from it, and it only grows from validated refined sets.
         let mut cells: Vec<Cell> = Vec::new();
+        let mut leaf_indices: Vec<u32> = Vec::new();
         let mut level_starts = Vec::with_capacity(refined.len() + 2);
         let mut current: Vec<u64> = {
             // Level 0: the whole base grid in (z,y,x) order.
-            let mut v = Vec::with_capacity(base[0] * base[1] * base[2]);
+            let mut v = Vec::with_capacity(base_cells as usize);
             for z in 0..base[2] as u32 {
                 for y in 0..base[1] as u32 {
                     for x in 0..base[0] as u32 {
@@ -147,59 +157,27 @@ impl AmrTree {
             if refined_here.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(AmrError::InvalidStructure("refined set not sorted/unique"));
             }
-            for &key in refined_here {
-                if current.binary_search(&key).is_err() {
-                    return Err(AmrError::InvalidStructure("refined cell does not exist"));
-                }
+            let is_refined = refined_flags(&current, refined_here)?;
+            let total = cells.len() as u64 + current.len() as u64;
+            if total > u64::from(u32::MAX) {
+                return Err(AmrError::InvalidStructure("more cells than u32 indices"));
             }
-            // Emit this level's cells the way real AMR files store them:
-            // patches (tiles) assigned round-robin to writer ranks, rank-
-            // major in the file, (z,y,x) tiles within a rank, (z,y,x) cells
-            // within a tile.
-            let tile_of = |key: u64| -> u64 {
-                let c = CellCoord::unpack(key);
-                CellCoord::new(c.x >> patch_shift, c.y >> patch_shift, c.z >> patch_shift).pack()
-            };
-            let mut tiles: Vec<u64> = current.iter().map(|&k| tile_of(k)).collect();
-            tiles.sort_unstable();
-            tiles.dedup();
-            let rank_of = |tile: u64| -> u32 {
-                let idx = tiles
-                    .binary_search(&tile)
-                    .expect("tile of an existing cell");
-                idx as u32 % ranks
-            };
-            let mut emit_order = current.clone();
-            emit_order.sort_unstable_by_key(|&k| {
-                let tile = tile_of(k);
-                (rank_of(tile), tile, k)
-            });
-            let mut next = Vec::with_capacity(refined_here.len() * dim.children());
-            for &key in &emit_order {
-                let is_refined = refined_here.binary_search(&key).is_ok();
+            cells.reserve_exact(current.len());
+            leaf_indices.reserve_exact(current.len() - refined_here.len());
+            for i in storage_order(&current, patch_shift, ranks) {
+                let i = i as usize;
+                if !is_refined[i] {
+                    leaf_indices.push(cells.len() as u32);
+                }
                 cells.push(Cell {
                     level,
-                    coord: CellCoord::unpack(key),
-                    is_leaf: !is_refined,
+                    coord: CellCoord::unpack(current[i]),
+                    is_leaf: !is_refined[i],
                 });
-                if is_refined {
-                    let c = CellCoord::unpack(key);
-                    for ch in 0..dim.children() {
-                        next.push(c.child(ch).pack());
-                    }
-                }
             }
-            next.sort_unstable();
-            current = next;
+            current = children_sorted(dim, refined_here);
         }
         level_starts.push(cells.len());
-
-        let leaf_indices = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_leaf)
-            .map(|(i, _)| i as u32)
-            .collect();
 
         Ok(Self {
             dim,
@@ -380,29 +358,155 @@ impl AmrTree {
                 .ok_or(AmrError::Corrupt("missing patch size"))?,
         );
         pos += 1;
-        let ranks = read_u64(bytes, &mut pos)? as u32;
+        let ranks = u32::try_from(read_u64(bytes, &mut pos)?)
+            .map_err(|_| AmrError::Corrupt("ranks out of range"))?;
         let mut base = [0usize; 3];
         for b in &mut base {
-            *b = read_u64(bytes, &mut pos)? as usize;
+            *b = usize::try_from(read_u64(bytes, &mut pos)?)
+                .map_err(|_| AmrError::Corrupt("base grid out of range"))?;
         }
-        let max_level = read_u64(bytes, &mut pos)? as u32;
-        if max_level > COORD_BITS {
-            return Err(AmrError::Corrupt("max level too deep"));
-        }
+        let max_level = u32::try_from(read_u64(bytes, &mut pos)?)
+            .ok()
+            .filter(|&l| l <= COORD_BITS)
+            .ok_or(AmrError::Corrupt("max level too deep"))?;
         let mut refined = Vec::with_capacity(max_level as usize);
         for _ in 0..max_level {
-            let n = read_u64(bytes, &mut pos)? as usize;
+            // Every delta takes at least one byte, so a count larger than
+            // the bytes left is a lie; reject it before it sizes the set.
+            let n = read_u64(bytes, &mut pos)?;
+            if n > (bytes.len() - pos) as u64 {
+                return Err(AmrError::Corrupt("refined count exceeds metadata"));
+            }
+            let n = n as usize;
             let mut set = Vec::with_capacity(n);
             let mut key = 0u64;
             for i in 0..n {
                 let delta = read_u64(bytes, &mut pos)?;
-                key = if i == 0 { delta } else { key + delta };
+                key = if i == 0 {
+                    delta
+                } else {
+                    key.checked_add(delta)
+                        .ok_or(AmrError::Corrupt("refined key overflows"))?
+                };
                 set.push(key);
             }
             refined.push(set);
         }
         Self::from_refined_with_layout(dim, base, refined, patch_shift, ranks)
     }
+}
+
+/// Marks which of the level's cells (`current`, sorted) are refined, by
+/// one merge against the sorted, duplicate-free `refined` set. A refined key
+/// missing from `current` is an error.
+fn refined_flags(current: &[u64], refined: &[u64]) -> Result<Vec<bool>, AmrError> {
+    let missing = AmrError::InvalidStructure("refined cell does not exist");
+    let mut flags = vec![false; current.len()];
+    let mut want = refined.iter().peekable();
+    for (flag, &key) in flags.iter_mut().zip(current) {
+        match want.peek() {
+            Some(&&r) if r < key => return Err(missing),
+            Some(&&r) if r == key => {
+                *flag = true;
+                want.next();
+            }
+            _ => {}
+        }
+    }
+    match want.next() {
+        Some(_) => Err(missing),
+        None => Ok(flags),
+    }
+}
+
+/// The order real AMR files store a level in, as indices into `current`
+/// (the level's cells, sorted): aligned `2^patch_shift`-sided tiles are
+/// dealt round-robin to `ranks` writers in (z,y,x) tile order, the file is
+/// rank-major, tiles keep (z,y,x) order within a rank, and cells keep
+/// (z,y,x) order within a tile.
+///
+/// Each cell is mapped to its tile once, then a stable counting sort drops
+/// the cells into tile buckets laid out rank-major: O(n log T) for n cells
+/// in T tiles, the log from mapping a cell whose tile differs from its
+/// predecessor's.
+fn storage_order(current: &[u64], patch_shift: u32, ranks: u32) -> Vec<u32> {
+    let tile_of = |key: u64| -> u64 {
+        let c = CellCoord::unpack(key);
+        CellCoord::new(c.x >> patch_shift, c.y >> patch_shift, c.z >> patch_shift).pack()
+    };
+    // Sorted distinct tiles. Runs of cells along x share a tile, so drop
+    // repeats before sorting.
+    let mut tiles: Vec<u64> = Vec::new();
+    for &key in current {
+        let tile = tile_of(key);
+        if tiles.last() != Some(&tile) {
+            tiles.push(tile);
+        }
+    }
+    tiles.sort_unstable();
+    tiles.dedup();
+
+    let mut tile_idx = Vec::with_capacity(current.len());
+    let mut bucket = vec![0u32; tiles.len()];
+    let mut last: Option<(u64, usize)> = None;
+    for &key in current {
+        let tile = tile_of(key);
+        let t = match last {
+            Some((prev, t)) if prev == tile => t,
+            _ => {
+                let t = tiles
+                    .binary_search(&tile)
+                    .expect("tile of an existing cell");
+                last = Some((tile, t));
+                t
+            }
+        };
+        tile_idx.push(t as u32);
+        bucket[t] += 1;
+    }
+
+    // Turn the counts into bucket starts: tile t is written by rank
+    // t % ranks, ranks in order, tiles ascending within a rank.
+    let ranks = ranks as usize;
+    let mut next = 0u32;
+    for rank in 0..ranks.min(tiles.len()) {
+        for count in bucket.iter_mut().skip(rank).step_by(ranks) {
+            let start = next;
+            next += *count;
+            *count = start;
+        }
+    }
+    let mut order = vec![0u32; current.len()];
+    for (i, &t) in tile_idx.iter().enumerate() {
+        let slot = &mut bucket[t as usize];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    order
+}
+
+/// The children of the sorted `parents`, sorted, without a sort: child
+/// (z,y,x) order is parent plane, then the z child, then parent row, then
+/// the y child, then parent x, then the x child.
+fn children_sorted(dim: Dim, parents: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(parents.len() * dim.children());
+    let z_children = if dim == Dim::D3 { 2 } else { 1 };
+    let same = |shift: u32| move |a: &u64, b: &u64| a >> shift == b >> shift;
+    for plane in parents.chunk_by(same(2 * COORD_BITS)) {
+        for dz in 0..z_children {
+            for row in plane.chunk_by(same(COORD_BITS)) {
+                for dy in 0..2 {
+                    for &key in row {
+                        let c = CellCoord::unpack(key);
+                        let (y, z) = (2 * c.y + dy, 2 * c.z + dz);
+                        out.push(CellCoord::new(2 * c.x, y, z).pack());
+                        out.push(CellCoord::new(2 * c.x + 1, y, z).pack());
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 fn write_u64(buf: &mut Vec<u8>, mut value: u64) {

@@ -1,5 +1,6 @@
 //! F7 — zMesh's compute overhead: recipe construction + reordering,
-//! relative to codec time, plus the decompression-side recipe regeneration.
+//! relative to codec time, plus the decompression side's regeneration from
+//! metadata: tree decode and recipe build, timed separately.
 
 use crate::experiments::compress;
 use crate::{eval_datasets, header, row};
@@ -16,6 +17,7 @@ pub fn run(scale: Scale) {
         "reorder_ms",
         "encode_ms",
         "overhead_%",
+        "decomp_tree_ms",
         "decomp_recipe_ms",
     ]);
     for ds in eval_datasets(scale).iter() {
@@ -33,6 +35,7 @@ pub fn run(scale: Scale) {
                 "{:.1}",
                 100.0 * (recipe + reorder) / (recipe + reorder + encode)
             ),
+            format!("{:.2}", d.tree_ns as f64 / 1e6),
             format!("{:.2}", d.recipe_ns as f64 / 1e6),
         ]);
     }

@@ -95,6 +95,8 @@ pub struct Decompressed {
     pub fields: Vec<(String, AmrField)>,
     /// Ordering policy recorded in the container.
     pub policy: OrderingPolicy,
+    /// Nanoseconds spent decoding the tree from the structure metadata.
+    pub tree_ns: u64,
     /// Nanoseconds spent re-generating the restore recipe.
     pub recipe_ns: u64,
 }
@@ -236,7 +238,9 @@ impl Pipeline {
     /// metadata — no recipe bytes exist in the container.
     pub fn decompress(bytes: &[u8]) -> Result<Decompressed, ZmeshError> {
         let header = read_container(bytes)?;
+        let t0 = Instant::now();
         let tree = Arc::new(AmrTree::from_structure_bytes(&header.structure)?);
+        let tree_ns = t0.elapsed().as_nanos() as u64;
         let grouping = GroupingMode::from_storage_mode(header.mode);
 
         let t0 = Instant::now();
@@ -265,6 +269,7 @@ impl Pipeline {
             tree,
             fields,
             policy: header.policy,
+            tree_ns,
             recipe_ns,
         })
     }

@@ -54,31 +54,39 @@ impl RestoreRecipe {
             GroupingMode::LeafOnly => tree.leaf_count(),
             GroupingMode::Chained => tree.cell_count(),
         };
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-
-        if let Some(curve) = policy.curve() {
-            let bits = tree.finest_bits();
-            let dim = tree.dim();
-            // Key: (curve index of the anchor, level). Cells at the same
-            // anchor chain coarse -> fine.
-            let key = |cell: &Cell| -> (u64, u32) {
-                let a = tree.anchor(cell);
-                let idx = match dim {
-                    Dim::D2 => curve.index_2d(u64::from(a.x), u64::from(a.y), bits),
-                    Dim::D3 => curve.index_3d(u64::from(a.x), u64::from(a.y), u64::from(a.z), bits),
+        let perm = match policy.curve() {
+            None => (0..n as u32).collect(),
+            Some(curve) => {
+                let bits = tree.finest_bits();
+                let dim = tree.dim();
+                // Key: (curve index of the anchor, level, storage index).
+                // Cells at the same anchor chain coarse -> fine; no two
+                // cells share (anchor, level), so the storage index only
+                // carries the permutation through the sort.
+                let key = |(i, cell): (usize, &Cell)| -> (u64, u32, u32) {
+                    let a = tree.anchor(cell);
+                    let idx = match dim {
+                        Dim::D2 => curve.index_2d(u64::from(a.x), u64::from(a.y), bits),
+                        Dim::D3 => {
+                            curve.index_3d(u64::from(a.x), u64::from(a.y), u64::from(a.z), bits)
+                        }
+                    };
+                    (idx, cell.level, i as u32)
                 };
-                (idx, cell.level)
-            };
-            let keys: Vec<(u64, u32)> = match grouping {
-                GroupingMode::LeafOnly => tree
-                    .leaf_indices()
-                    .par_iter()
-                    .map(|&i| key(&tree.cells()[i as usize]))
-                    .collect(),
-                GroupingMode::Chained => tree.cells().par_iter().map(key).collect(),
-            };
-            perm.par_sort_unstable_by_key(|&i| keys[i as usize]);
-        }
+                let mut keys: Vec<(u64, u32, u32)> = match grouping {
+                    GroupingMode::LeafOnly => tree
+                        .leaf_indices()
+                        .par_iter()
+                        .map(|&i| &tree.cells()[i as usize])
+                        .enumerate()
+                        .map(key)
+                        .collect(),
+                    GroupingMode::Chained => tree.cells().par_iter().enumerate().map(key).collect(),
+                };
+                keys.sort_unstable();
+                keys.into_iter().map(|(_, _, i)| i).collect()
+            }
+        };
         Self {
             perm,
             policy,

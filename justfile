@@ -72,6 +72,16 @@ bench-serve:
 bench-serve-micro:
     CRITERION_JSON=BENCH_serve_micro.json cargo bench -p zmesh-bench --bench serve
 
+# The repo benchmark (BENCHMARK.json's command; see perfbench/README.md):
+# one workload (pack, cold-read or serve) end to end, one JSON result line.
+perfbench workload seed="1" seconds="30":
+    cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace 0
+
+# The same workload traced: per-layer metrics instead of end-to-end ones,
+# spans written to .perfbench/trace-<workload>-<seed>.json.
+perfbench-trace workload seed="1" seconds="30":
+    cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace 1
+
 # Regenerate every reconstructed paper artifact.
 repro scale="small":
     cargo run --release -p zmesh-bench --bin repro_all -- --scale {{scale}}

@@ -227,3 +227,49 @@ proptest! {
         must_not_panic(&bytes);
     }
 }
+
+/// LEB128, as the structure metadata writes its integers.
+fn varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A structure blob: 2-D, 8-cell patches, then `ints` as varints
+/// (ranks, base x/y/z, max level, per-level counts and deltas).
+fn structure_blob(ints: &[u64]) -> Vec<u8> {
+    let mut out = b"AMT1".to_vec();
+    out.push(Dim::D2.tag());
+    out.push(3);
+    for &v in ints {
+        varint(&mut out, v);
+    }
+    out
+}
+
+#[test]
+fn hostile_structure_headers_are_typed_errors() {
+    use zmesh_amr::AmrError;
+    // 17 bytes that declare 2^40 refined cells at level 0: the count must be
+    // checked against the bytes left before it sizes an allocation.
+    let huge_count = structure_blob(&[1, 4, 4, 1, 1, 1 << 40]);
+    assert_eq!(huge_count.len(), 17);
+    // Out-of-range ranks and depth must not be truncated to a valid value.
+    let wide_ranks = structure_blob(&[(1 << 32) + 1, 4, 4, 1, 0]);
+    let wide_depth = structure_blob(&[1, 4, 4, 1, (1 << 32) + 3, 0, 0, 0]);
+    // Deltas whose running sum overflows a key.
+    let overflow = structure_blob(&[1, 4, 4, 1, 1, 2, 1, u64::MAX]);
+    for blob in [huge_count, wide_ranks, wide_depth, overflow] {
+        let got = std::panic::catch_unwind(|| AmrTree::from_structure_bytes(&blob));
+        assert!(
+            matches!(got, Ok(Err(AmrError::Corrupt(_)))),
+            "{blob:?} -> {got:?}"
+        );
+    }
+    // The same bytes with honest values still decode.
+    let honest = structure_blob(&[1, 4, 4, 1, 1, 1, 2]);
+    let tree = AmrTree::from_structure_bytes(&honest).expect("valid structure");
+    assert_eq!(tree.structure_bytes(), honest);
+}
