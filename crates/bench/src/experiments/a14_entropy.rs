@@ -2,7 +2,8 @@
 //!
 //! Canonical Huffman (what SZ ships) vs an adaptive binary range coder, and
 //! the effect of the optional byte-level lossless back end. Measures both
-//! ratio and encode throughput, under the zMesh-Hilbert ordering.
+//! ratio and encode throughput (best of three runs), under the zMesh-Hilbert
+//! ordering, and states the range coder's gain and cost from the table.
 
 use crate::{eval_datasets, header, row};
 use std::time::Instant;
@@ -21,6 +22,9 @@ pub fn run(scale: Scale) {
         (EntropyCoder::Huffman, Backend::Lzss),
         (EntropyCoder::Range, Backend::None),
     ];
+    // Per dataset: (ratio, MB/s) of Huffman and of the range coder, no back end.
+    let mut huffman = Vec::new();
+    let mut range = Vec::new();
     for ds in eval_datasets(scale).iter() {
         let (stream, _) = linearize(ds.primary(), OrderingPolicy::Hilbert);
         let params = CodecParams::rel_1d(1e-4);
@@ -32,20 +36,47 @@ pub fn run(scale: Scale) {
                     ..SzConfig::default()
                 },
             };
-            let t = Instant::now();
-            let bytes = codec.compress(&stream, &params).expect("compress");
-            let secs = t.elapsed().as_secs_f64();
+            let mut secs = f64::INFINITY;
+            let mut bytes = Vec::new();
+            for _ in 0..3 {
+                let t = Instant::now();
+                bytes = codec.compress(&stream, &params).expect("compress");
+                secs = secs.min(t.elapsed().as_secs_f64());
+            }
             // Correctness spot check (full checks live in the test suite).
             let out = codec.decompress(&bytes).expect("decompress");
             assert_eq!(out.len(), stream.len());
+            let ratio = (stream.len() * 8) as f64 / bytes.len() as f64;
+            let mbps = (stream.len() * 8) as f64 / 1e6 / secs;
+            match (entropy, backend) {
+                (EntropyCoder::Huffman, Backend::None) => huffman.push((ratio, mbps)),
+                (EntropyCoder::Range, Backend::None) => range.push((ratio, mbps)),
+                _ => {}
+            }
             row(&[
                 ds.name.clone(),
                 entropy.label().into(),
                 backend.label().into(),
-                format!("{:.2}", (stream.len() * 8) as f64 / bytes.len() as f64),
-                format!("{:.0}", (stream.len() * 8) as f64 / 1e6 / secs),
+                format!("{ratio:.2}"),
+                format!("{mbps:.0}"),
             ]);
         }
     }
-    println!("\nobservation: the adaptive range coder beats Huffman by 15-50 % ratio at\ncomparable throughput on these streams — its bit-tree contexts model the\nconditional structure of quantization codes that a static, memoryless\nHuffman table cannot. The codec default stays Huffman for fidelity to SZ;\nthis row is the reproduction's own improvement candidate.");
+    let span = |v: Vec<f64>| {
+        v.iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                (lo.min(x), hi.max(x))
+            })
+    };
+    let pairs = || huffman.iter().zip(&range);
+    let (gain_lo, gain_hi) = span(pairs().map(|(h, r)| (r.0 / h.0 - 1.0) * 100.0).collect());
+    let (slow_lo, slow_hi) = span(pairs().map(|(h, r)| h.1 / r.1).collect());
+    println!(
+        "\nobservation: the adaptive range coder's ratio is {gain_lo:+.0} to {gain_hi:+.0} % \
+         over Huffman's, at {slow_lo:.1}-{slow_hi:.1}x lower encode MB/s. Its bit-tree \
+         contexts model conditional structure in the quantization codes that a \
+         static, memoryless Huffman table cannot. The codec default stays Huffman \
+         for fidelity to SZ (and because switching changes every stored byte); \
+         this row is the reproduction's own improvement candidate."
+    );
 }

@@ -7,89 +7,152 @@
 //! The table is transmitted as canonical code lengths only. Code lengths are
 //! limited to [`MAX_CODE_LEN`] by iterative frequency flattening, which keeps
 //! the decoder's canonical tables small.
+//!
+//! Both directions cost O(input + present symbols), never O(alphabet): a
+//! chunk of SZ codes uses a few hundred of the 2^16 symbols. The encoder
+//! counts into a pooled symbol table and clears only the entries it touched,
+//! then builds lengths with a two-queue merge over the present symbols. The
+//! decoder resolves codes of up to 11 bits with one table lookup and
+//! walks longer codes bit by bit.
 
 use crate::{varint, CodecError};
-use zmesh_bitstream::{BitReader, BitWriter};
+use std::sync::Mutex;
 
 /// Upper limit on code length; 32 suffices for any realistic distribution.
 pub const MAX_CODE_LEN: u32 = 32;
 
-/// Computes Huffman code lengths for `freqs` (indexed by symbol), limited to
-/// [`MAX_CODE_LEN`]. Symbols with zero frequency get length 0.
-fn code_lengths(freqs: &[u64]) -> Vec<u32> {
-    let mut freqs = freqs.to_vec();
-    loop {
-        let lens = unrestricted_code_lengths(&freqs);
-        if lens.iter().all(|&l| l <= MAX_CODE_LEN) {
-            return lens;
-        }
-        // Flatten the distribution and retry; converges because repeated
-        // halving drives all nonzero frequencies toward 1.
-        for f in freqs.iter_mut().filter(|f| **f > 0) {
-            *f = (*f / 2).max(1);
+/// Stream bits the decoder's primary table resolves in one lookup.
+const PRIMARY_BITS: u32 = 11;
+
+/// Low bits of a packed code-table entry that hold the code length; the
+/// bit-reversed code sits above them.
+const LEN_BITS: u32 = 6;
+const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
+
+/// Idle symbol tables: one `u64` per possible symbol (512 KiB), all zero.
+/// [`encode`] holds one for the call: symbol counts while it builds the
+/// histogram, then each present symbol's packed code. Tables are pooled
+/// rather than per thread because encoders often run on short-lived scoped
+/// worker threads; the pool grows to the largest number of encodes that
+/// ever ran at once.
+static IDLE_TABLES: Mutex<Vec<Box<[u64]>>> = Mutex::new(Vec::new());
+
+/// A symbol table on loan from [`IDLE_TABLES`]. On drop it zeroes the
+/// entries of `present` and goes back to the pool, so the pool stays clean
+/// even if an encode unwinds.
+struct SymbolTable {
+    table: Box<[u64]>,
+    present: Vec<u16>,
+}
+
+impl SymbolTable {
+    fn take() -> Self {
+        // Each pool update is one push or pop, so a poisoned pool is still
+        // a valid list of zeroed tables.
+        let idle = IDLE_TABLES.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        Self {
+            table: idle.unwrap_or_else(|| vec![0; 1 << 16].into_boxed_slice()),
+            present: Vec::new(),
         }
     }
 }
 
-/// Standard two-queue/heap Huffman construction returning code lengths.
-fn unrestricted_code_lengths(freqs: &[u64]) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+impl Drop for SymbolTable {
+    fn drop(&mut self) {
+        for &s in &self.present {
+            self.table[usize::from(s)] = 0;
+        }
+        let table = std::mem::take(&mut self.table);
+        IDLE_TABLES
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(table);
+    }
+}
 
-    let present: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+/// Huffman code lengths for a dense frequency table (indexed by symbol),
+/// each at most [`MAX_CODE_LEN`]: the lengths [`encode`] transmits for a
+/// stream with these symbol counts. Zero-frequency symbols get length 0.
+pub fn code_lengths(freqs: &[u64]) -> Vec<u32> {
+    let mut leaves: Vec<(u64, usize)> = (0..freqs.len())
+        .filter(|&s| freqs[s] > 0)
+        .map(|s| (freqs[s], s))
+        .collect();
+    leaves.sort_unstable();
     let mut lens = vec![0u32; freqs.len()];
-    match present.len() {
-        0 => return lens,
-        1 => {
-            // A single symbol still needs one bit on the wire.
-            lens[present[0]] = 1;
-            return lens;
-        }
-        _ => {}
-    }
-
-    // Nodes: leaves are (freq, id<n), internal nodes get ids >= n.
-    let n = freqs.len();
-    let mut parent = vec![usize::MAX; n + present.len()];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        present.iter().map(|&s| Reverse((freqs[s], s))).collect();
-    let mut next_id = n;
-    while heap.len() > 1 {
-        let Reverse((fa, a)) = heap.pop().expect("heap len > 1");
-        let Reverse((fb, b)) = heap.pop().expect("heap len > 1");
-        parent[a] = next_id;
-        parent[b] = next_id;
-        heap.push(Reverse((fa + fb, next_id)));
-        next_id += 1;
-    }
-    let root = heap.pop().expect("root").0 .1;
-    for &s in &present {
-        let mut depth = 0;
-        let mut node = s;
-        while node != root {
-            node = parent[node];
-            depth += 1;
-        }
-        lens[s] = depth;
+    for (s, len) in limited_lengths(&mut leaves) {
+        lens[s] = len;
     }
     lens
 }
 
-/// Canonical code assignment: codes ordered by (length, symbol).
-/// Returns `(code, len)` per symbol; MSB-first code values.
-fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
-    let mut order: Vec<usize> = (0..lens.len()).filter(|&s| lens[s] > 0).collect();
-    order.sort_by_key(|&s| (lens[s], s));
-    let mut codes = vec![(0u32, 0u32); lens.len()];
-    let mut code = 0u32;
-    let mut prev_len = 0u32;
-    for &s in &order {
-        code <<= lens[s] - prev_len;
-        codes[s] = (code, lens[s]);
-        prev_len = lens[s];
-        code += 1;
+/// Code lengths for `leaves` — `(frequency, symbol)` pairs with distinct
+/// symbols, sorted — as `(symbol, length)` pairs, each length at most
+/// [`MAX_CODE_LEN`]. Over-long codes are fixed by halving every frequency
+/// (keeping it nonzero) and rebuilding; this converges because repeated
+/// halving drives all frequencies toward 1.
+fn limited_lengths(leaves: &mut [(u64, usize)]) -> Vec<(usize, u32)> {
+    loop {
+        let depths = tree_depths(leaves);
+        if depths.iter().all(|&d| d <= MAX_CODE_LEN) {
+            return leaves.iter().map(|&(_, s)| s).zip(depths).collect();
+        }
+        for leaf in leaves.iter_mut() {
+            leaf.0 = (leaf.0 / 2).max(1);
+        }
+        // Halving keeps the frequency order but can create ties, which
+        // order by symbol.
+        leaves.sort_unstable();
     }
-    codes
+}
+
+/// Leaf depths of the Huffman tree over `leaves` (sorted by frequency, then
+/// symbol), in leaf order. A lone leaf gets depth 1: a single symbol still
+/// needs one bit on the wire.
+///
+/// Two-queue construction: sorted leaves in one queue, internal nodes in
+/// creation order in the other (their weights never decrease). Each step
+/// merges the two lightest fronts, a leaf winning a weight tie. That is the
+/// pop order of a min-heap keyed `(weight, id)` with leaf ids (the symbols)
+/// below every internal id and internal ids increasing in creation order,
+/// which is how the lengths of existing streams were built: the tie rule is
+/// part of the format's byte identity.
+fn tree_depths(leaves: &[(u64, usize)]) -> Vec<u32> {
+    let k = leaves.len();
+    if k <= 1 {
+        return vec![1; k];
+    }
+    // Nodes 0..k are the leaves, k..2k-1 the internal nodes in creation
+    // order; the last one created is the root.
+    let mut weight = Vec::with_capacity(k - 1);
+    let mut parent = vec![0usize; 2 * k - 1];
+    let (mut next_leaf, mut next_inner) = (0, 0);
+    for created in 0..k - 1 {
+        let mut sum = 0;
+        for _ in 0..2 {
+            let node = if next_leaf < k
+                && (next_inner == created || leaves[next_leaf].0 <= weight[next_inner])
+            {
+                sum += leaves[next_leaf].0;
+                next_leaf += 1;
+                next_leaf - 1
+            } else {
+                sum += weight[next_inner];
+                next_inner += 1;
+                k + next_inner - 1
+            };
+            parent[node] = k + created;
+        }
+        weight.push(sum);
+    }
+    // Parents are created after their children, so one descending pass
+    // sets every depth from the root (depth 0) down.
+    let mut depth = vec![0u32; 2 * k - 1];
+    for node in (0..2 * k - 2).rev() {
+        depth[node] = depth[parent[node]] + 1;
+    }
+    depth.truncate(k);
+    depth
 }
 
 /// Reverses the low `len` bits of `code` so that writing LSB-first emits the
@@ -101,40 +164,82 @@ fn reverse_bits(code: u32, len: u32) -> u32 {
 
 /// Encodes `symbols` with a canonical Huffman code; self-describing buffer.
 pub fn encode(symbols: &[u16]) -> Vec<u8> {
-    let max_sym = symbols.iter().copied().max().map_or(0, usize::from);
-    let mut freqs = vec![0u64; max_sym + 1];
+    let mut t = SymbolTable::take();
     for &s in symbols {
-        freqs[usize::from(s)] += 1;
+        let count = &mut t.table[usize::from(s)];
+        if *count == 0 {
+            t.present.push(s);
+        }
+        *count += 1;
     }
-    let lens = code_lengths(&freqs);
-    let codes = canonical_codes(&lens);
+    t.present.sort_unstable();
+    let mut leaves: Vec<(u64, usize)> = t
+        .present
+        .iter()
+        .map(|&s| (t.table[usize::from(s)], usize::from(s)))
+        .collect();
+    leaves.sort_unstable();
+    let lens = limited_lengths(&mut leaves);
+
+    // Canonical codes, ordered by (length, symbol): the first code of each
+    // length follows the last code of the length before, shifted left.
+    let mut count_by_len = [0u32; MAX_CODE_LEN as usize + 1];
+    for &(_, len) in &lens {
+        count_by_len[len as usize] += 1;
+    }
+    let mut next_code = [0u32; MAX_CODE_LEN as usize + 1];
+    for len in 1..=MAX_CODE_LEN as usize {
+        next_code[len] = (next_code[len - 1] + count_by_len[len - 1]) << 1;
+    }
+    // Put each length in its symbol's slot, then replace it by the packed
+    // code, visiting symbols in increasing order so that codes of one
+    // length ascend with the symbol.
+    for &(s, len) in &lens {
+        t.table[s] = u64::from(len);
+    }
+    for &s in &t.present {
+        let slot = &mut t.table[usize::from(s)];
+        let len = *slot as u32;
+        let code = next_code[len as usize];
+        next_code[len as usize] = code.wrapping_add(1);
+        *slot = u64::from(reverse_bits(code, len)) << LEN_BITS | u64::from(len);
+    }
 
     let mut out = Vec::new();
     varint::write_u64(&mut out, symbols.len() as u64);
     // Table: count of present symbols, then (symbol, len) pairs with
     // delta-coded symbols (present symbols are emitted in increasing order).
-    let present: Vec<usize> = (0..lens.len()).filter(|&s| lens[s] > 0).collect();
-    varint::write_u64(&mut out, present.len() as u64);
+    varint::write_u64(&mut out, t.present.len() as u64);
     let mut prev = 0u64;
-    for &s in &present {
-        varint::write_u64(&mut out, s as u64 - prev);
-        out.push(lens[s] as u8);
-        prev = s as u64;
+    for &s in &t.present {
+        varint::write_u64(&mut out, u64::from(s) - prev);
+        out.push((t.table[usize::from(s)] & LEN_MASK) as u8);
+        prev = u64::from(s);
     }
 
-    let mut w = BitWriter::with_capacity(symbols.len() / 2);
+    // Codes go out LSB-first through a 64-bit accumulator that spills 32
+    // bits at a time: it holds under 32 bits between symbols and a code
+    // adds at most 32, so it never overflows.
+    let mut payload = Vec::with_capacity(symbols.len() / 2 + 8);
+    let (mut acc, mut nbits) = (0u64, 0u32);
     for &s in symbols {
-        let (code, len) = codes[usize::from(s)];
-        w.write_bits(u64::from(reverse_bits(code, len)), len);
+        let packed = t.table[usize::from(s)];
+        acc |= (packed >> LEN_BITS) << nbits;
+        nbits += (packed & LEN_MASK) as u32;
+        if nbits >= 32 {
+            payload.extend_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            nbits -= 32;
+        }
     }
-    let payload = w.into_bytes();
+    payload.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
     varint::write_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
     out
 }
 
 /// Decoder tables for a canonical code.
-struct CanonicalDecoder {
+struct Decoder {
     /// `first_code[len]`: canonical code value of the first code of `len` bits.
     first_code: Vec<u32>,
     /// `first_index[len]`: index into `sorted_symbols` of that first code.
@@ -144,9 +249,13 @@ struct CanonicalDecoder {
     /// Symbols sorted by (length, symbol).
     sorted_symbols: Vec<u16>,
     max_len: u32,
+    /// Indexed by the next `primary_bits` stream bits: `symbol << 8 | len`
+    /// of the code they start with, or 0 if that code is longer.
+    primary: Vec<u32>,
+    primary_bits: u32,
 }
 
-impl CanonicalDecoder {
+impl Decoder {
     fn new(lens_by_symbol: &[(u16, u32)]) -> Result<Self, CodecError> {
         let max_len = lens_by_symbol.iter().map(|&(_, l)| l).max().unwrap_or(0);
         if max_len > MAX_CODE_LEN {
@@ -176,22 +285,54 @@ impl CanonicalDecoder {
             code += c;
             index += c;
         }
+
+        // Every code of at most `primary_bits` bits fills the slots whose
+        // low bits are its reversed code; Kraft makes the slots disjoint.
+        let primary_bits = max_len.min(PRIMARY_BITS);
+        let mut primary = vec![0u32; 1 << primary_bits];
+        for len in 1..=primary_bits {
+            for j in 0..count[len as usize] {
+                let sym = sorted_symbols[(first_index[len as usize] + j) as usize];
+                let rev = reverse_bits(first_code[len as usize] + j, len) as usize;
+                let entry = u32::from(sym) << 8 | len;
+                for slot in primary[rev..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
+            }
+        }
         Ok(Self {
             first_code,
             first_index,
             count,
             sorted_symbols,
             max_len,
+            primary,
+            primary_bits,
         })
     }
 
-    fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
+    /// Decodes the code starting at bit `*pos` of `payload`, advancing `*pos`.
+    #[inline]
+    fn decode_one(&self, payload: &[u8], pos: &mut usize) -> Result<u16, CodecError> {
+        let entry = self.primary[(peek(payload, *pos) & ((1 << self.primary_bits) - 1)) as usize];
+        let len = (entry & 0xff) as usize;
+        if len != 0 && *pos + len <= payload.len() * 8 {
+            *pos += len;
+            return Ok((entry >> 8) as u16);
+        }
+        self.decode_serial(payload, pos)
+    }
+
+    /// Canonical bit-serial walk: the path for codes longer than the primary
+    /// table and for the stream's end, where it reports the exact error.
+    fn decode_serial(&self, payload: &[u8], pos: &mut usize) -> Result<u16, CodecError> {
         let mut code = 0u32;
         for len in 1..=self.max_len {
-            code = (code << 1)
-                | (r.read_bit()
-                    .map_err(|_| CodecError::Corrupt("huffman underrun"))?
-                    as u32);
+            let byte = payload
+                .get(*pos / 8)
+                .ok_or(CodecError::Corrupt("huffman underrun"))?;
+            code = (code << 1) | u32::from((byte >> (*pos % 8)) & 1);
+            *pos += 1;
             let c = self.count[len as usize];
             if c > 0 {
                 let first = self.first_code[len as usize];
@@ -208,6 +349,23 @@ impl CanonicalDecoder {
     }
 }
 
+/// The stream bits from `pos` on, LSB-first, zero past the end (at least 57
+/// valid bits when the payload has them).
+#[inline]
+fn peek(payload: &[u8], pos: usize) -> u64 {
+    let i = pos / 8;
+    let word = match payload.get(i..i + 8) {
+        Some(b) => u64::from_le_bytes(b.try_into().expect("8 bytes")),
+        None => {
+            let tail = payload.get(i..).unwrap_or_default();
+            let mut b = [0u8; 8];
+            b[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(b)
+        }
+    };
+    word >> (pos % 8)
+}
+
 /// Decodes a buffer produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Vec<u16>, CodecError> {
     let mut pos = 0;
@@ -216,7 +374,10 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u16>, CodecError> {
     if n_symbols > 0 && n_present == 0 {
         return Err(CodecError::Corrupt("huffman empty table"));
     }
-    let mut lens_by_symbol = Vec::with_capacity(n_present);
+    // Counts are untrusted: each table entry takes at least 2 bytes and each
+    // code at least 1 bit, so the bytes present bound what is allocated.
+    // A count beyond that fails in the loops below, as it always did.
+    let mut lens_by_symbol = Vec::with_capacity(n_present.min((bytes.len() - pos) / 2));
     let mut sym = 0u64;
     for i in 0..n_present {
         let delta = varint::read_u64(bytes, &mut pos)?;
@@ -239,11 +400,11 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u16>, CodecError> {
     if n_symbols == 0 {
         return Ok(Vec::new());
     }
-    let decoder = CanonicalDecoder::new(&lens_by_symbol)?;
-    let mut r = BitReader::new(payload);
-    let mut out = Vec::with_capacity(n_symbols);
+    let decoder = Decoder::new(&lens_by_symbol)?;
+    let mut out = Vec::with_capacity(n_symbols.min(payload.len() * 8));
+    let mut bit = 0;
     for _ in 0..n_symbols {
-        out.push(decoder.decode_one(&mut r)?);
+        out.push(decoder.decode_one(payload, &mut bit)?);
     }
     Ok(out)
 }
@@ -320,5 +481,22 @@ mod tests {
         // 800 bits = 100 bytes payload + small header.
         assert!(enc.len() < 120, "len = {}", enc.len());
         assert_eq!(decode(&enc).unwrap(), symbols);
+    }
+
+    #[test]
+    fn long_codes_decode_through_the_serial_walk() {
+        // Fibonacci counts give a maximally deep tree: codes far longer than
+        // the primary table, all of which must still round-trip.
+        let (mut a, mut b) = (1u64, 1u64);
+        let mut freqs = Vec::new();
+        let mut symbols = Vec::new();
+        for s in 0..20u16 {
+            freqs.push(a);
+            symbols.extend(std::iter::repeat_n(s, a as usize));
+            (a, b) = (b, a + b);
+        }
+        let lens = code_lengths(&freqs);
+        assert!(lens.iter().any(|&l| l > PRIMARY_BITS), "{lens:?}");
+        assert_eq!(decode(&encode(&symbols)).unwrap(), symbols);
     }
 }

@@ -348,7 +348,13 @@ fn decompress_impl(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         return Err(CodecError::Corrupt("symbol count mismatch"));
     }
     let n_exact = varint::read_u64(&payload, &mut ppos)? as usize;
-    let mut exact = Vec::with_capacity(n_exact);
+    // Untrusted count: allocate no more than the bytes left can hold; a
+    // larger count fails in the loop below.
+    let width = match value_type {
+        ValueType::F64 => 8,
+        ValueType::F32 => 4,
+    };
+    let mut exact = Vec::with_capacity(n_exact.min((payload.len() - ppos) / width));
     for _ in 0..n_exact {
         exact.push(match value_type {
             ValueType::F64 => varint::read_f64(&payload, &mut ppos)?,

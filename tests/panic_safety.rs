@@ -273,3 +273,41 @@ fn hostile_structure_headers_are_typed_errors() {
     let tree = AmrTree::from_structure_bytes(&honest).expect("valid structure");
     assert_eq!(tree.structure_bytes(), honest);
 }
+
+#[test]
+fn hostile_entropy_and_sz_headers_are_typed_errors() {
+    use zmesh_codecs::lossless::huffman;
+    use zmesh_codecs::{Codec, CodecError, SzCodec};
+    // 13 bytes of Huffman stream declaring 2^40 symbols over a one-symbol
+    // table and a 3-byte payload: the count must be bounded by the payload
+    // bits before it sizes the output.
+    let mut blob = Vec::new();
+    varint(&mut blob, 1 << 40);
+    blob.extend_from_slice(&[1, 0, 1, 3, 0, 0, 0]);
+    assert_eq!(blob.len(), 13);
+    let got = std::panic::catch_unwind(|| huffman::decode(&blob));
+    assert!(matches!(got, Ok(Err(CodecError::Corrupt(_)))), "{got:?}");
+
+    // A hand-built SZ stream: 8 values, 1-D, no lossless back end (tag 0),
+    // Huffman codes (tag 0), f64 (tag 0), one predictor tag, then an
+    // exact-value count of 2^40.
+    let mut payload = vec![0u8];
+    let coded = huffman::encode(&[1 << 15; 8]);
+    varint(&mut payload, coded.len() as u64);
+    payload.extend_from_slice(&coded);
+    varint(&mut payload, 1 << 40);
+    let mut sz = b"SZR1".to_vec();
+    varint(&mut sz, 8);
+    sz.extend_from_slice(&1e-3f64.to_le_bytes());
+    for v in [0, 0, 0, 4096] {
+        varint(&mut sz, v);
+    }
+    sz.extend_from_slice(&[0, 0, 0]);
+    varint(&mut sz, payload.len() as u64);
+    sz.extend_from_slice(&payload);
+    let got = std::panic::catch_unwind(|| SzCodec::new().decompress(&sz));
+    assert!(
+        matches!(got, Ok(Err(CodecError::Corrupt("f64 past end")))),
+        "{got:?}"
+    );
+}
