@@ -341,30 +341,19 @@ impl AmrTree {
         out
     }
 
+    /// Number of level-0 cells the structure bytes declare, read from their
+    /// fixed head alone — a bound a caller can check against what else it
+    /// knows (e.g. how many values a store holds) before
+    /// [`AmrTree::from_structure_bytes`] allocates per cell.
+    pub fn structure_base_cells(bytes: &[u8]) -> Result<u64, AmrError> {
+        let (_, _, _, base) = read_structure_head(bytes, &mut 0)?;
+        Ok(base.iter().fold(1u64, |n, &b| n.saturating_mul(b as u64)))
+    }
+
     /// Inverse of [`AmrTree::structure_bytes`], re-validating all invariants.
     pub fn from_structure_bytes(bytes: &[u8]) -> Result<Self, AmrError> {
         let mut pos = 0;
-        let magic = bytes.get(..4).ok_or(AmrError::Corrupt("missing magic"))?;
-        if magic != b"AMT1" {
-            return Err(AmrError::Corrupt("bad magic"));
-        }
-        pos += 4;
-        let dim = Dim::from_tag(*bytes.get(pos).ok_or(AmrError::Corrupt("missing dim"))?)
-            .ok_or(AmrError::Corrupt("bad dim tag"))?;
-        pos += 1;
-        let patch_shift = u32::from(
-            *bytes
-                .get(pos)
-                .ok_or(AmrError::Corrupt("missing patch size"))?,
-        );
-        pos += 1;
-        let ranks = u32::try_from(read_u64(bytes, &mut pos)?)
-            .map_err(|_| AmrError::Corrupt("ranks out of range"))?;
-        let mut base = [0usize; 3];
-        for b in &mut base {
-            *b = usize::try_from(read_u64(bytes, &mut pos)?)
-                .map_err(|_| AmrError::Corrupt("base grid out of range"))?;
-        }
+        let (dim, patch_shift, ranks, base) = read_structure_head(bytes, &mut pos)?;
         let max_level = u32::try_from(read_u64(bytes, &mut pos)?)
             .ok()
             .filter(|&l| l <= COORD_BITS)
@@ -394,6 +383,36 @@ impl AmrTree {
         }
         Self::from_refined_with_layout(dim, base, refined, patch_shift, ranks)
     }
+}
+
+/// Parses the fixed head of structure bytes — magic, dim, patch shift,
+/// ranks and base grid — advancing `pos` past it.
+fn read_structure_head(
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<(Dim, u32, u32, [usize; 3]), AmrError> {
+    let magic = bytes.get(..4).ok_or(AmrError::Corrupt("missing magic"))?;
+    if magic != b"AMT1" {
+        return Err(AmrError::Corrupt("bad magic"));
+    }
+    *pos += 4;
+    let dim = Dim::from_tag(*bytes.get(*pos).ok_or(AmrError::Corrupt("missing dim"))?)
+        .ok_or(AmrError::Corrupt("bad dim tag"))?;
+    *pos += 1;
+    let patch_shift = u32::from(
+        *bytes
+            .get(*pos)
+            .ok_or(AmrError::Corrupt("missing patch size"))?,
+    );
+    *pos += 1;
+    let ranks = u32::try_from(read_u64(bytes, pos)?)
+        .map_err(|_| AmrError::Corrupt("ranks out of range"))?;
+    let mut base = [0usize; 3];
+    for b in &mut base {
+        *b = usize::try_from(read_u64(bytes, pos)?)
+            .map_err(|_| AmrError::Corrupt("base grid out of range"))?;
+    }
+    Ok((dim, patch_shift, ranks, base))
 }
 
 /// Marks which of the level's cells (`current`, sorted) are refined, by

@@ -20,6 +20,28 @@ fn bench_reorder(c: &mut Criterion) {
     }
     g.finish();
 
+    // Benchmark-scale meshes: the trees a `pack` or cold open rebuilds the
+    // recipe for (Chained = every cell carries a point).
+    for (name, big) in [
+        (
+            "blast2d",
+            datasets::blast2d(StorageMode::AllCells, Scale::Standard),
+        ),
+        (
+            "cluster3d",
+            datasets::cluster3d(StorageMode::AllCells, Scale::Standard),
+        ),
+    ] {
+        let mut g = c.benchmark_group(format!("recipe_build/standard_{name}"));
+        g.throughput(Throughput::Elements(big.tree.cell_count() as u64));
+        for policy in [OrderingPolicy::ZOrder, OrderingPolicy::Hilbert] {
+            g.bench_function(policy.label(), |b| {
+                b.iter(|| RestoreRecipe::build(black_box(&big.tree), policy, GroupingMode::Chained))
+            });
+        }
+        g.finish();
+    }
+
     let recipe = RestoreRecipe::build(tree, OrderingPolicy::Hilbert, GroupingMode::Chained);
     let values = ds.primary().values().to_vec();
     let stream = recipe.apply(&values);

@@ -8,11 +8,17 @@
 //! refinement tree; the `level` tie-break realizes the paper's chained-tree
 //! grouping — a coarse point is emitted immediately before the finer points
 //! anchored at the same geometric coordinate.
+//!
+//! The build reads cells in storage order, which is level-major. Each key
+//! comes from [`AnchoredIndexer`], which walks only a cell's in-tile bits
+//! when its storage tile matches the previous cell's. The keys are then
+//! ordered by a stable LSD radix sort on the curve index alone: cells that
+//! share an anchor keep their input order, i.e. coarse before fine, so
+//! the level tie-break needs no key bits.
 
 use crate::ordering::{GroupingMode, OrderingPolicy};
-use rayon::prelude::*;
-use zmesh_amr::{AmrTree, Cell, Dim};
-use zmesh_sfc::Curve;
+use zmesh_amr::{AmrTree, Cell};
+use zmesh_sfc::{AnchoredIndexer, CurveKind};
 
 /// A permutation between storage order and stream (curve) order.
 ///
@@ -57,34 +63,8 @@ impl RestoreRecipe {
         let perm = match policy.curve() {
             None => (0..n as u32).collect(),
             Some(curve) => {
-                let bits = tree.finest_bits();
-                let dim = tree.dim();
-                // Key: (curve index of the anchor, level, storage index).
-                // Cells at the same anchor chain coarse -> fine; no two
-                // cells share (anchor, level), so the storage index only
-                // carries the permutation through the sort.
-                let key = |(i, cell): (usize, &Cell)| -> (u64, u32, u32) {
-                    let a = tree.anchor(cell);
-                    let idx = match dim {
-                        Dim::D2 => curve.index_2d(u64::from(a.x), u64::from(a.y), bits),
-                        Dim::D3 => {
-                            curve.index_3d(u64::from(a.x), u64::from(a.y), u64::from(a.z), bits)
-                        }
-                    };
-                    (idx, cell.level, i as u32)
-                };
-                let mut keys: Vec<(u64, u32, u32)> = match grouping {
-                    GroupingMode::LeafOnly => tree
-                        .leaf_indices()
-                        .par_iter()
-                        .map(|&i| &tree.cells()[i as usize])
-                        .enumerate()
-                        .map(key)
-                        .collect(),
-                    GroupingMode::Chained => tree.cells().par_iter().enumerate().map(key).collect(),
-                };
-                keys.sort_unstable();
-                keys.into_iter().map(|(_, _, i)| i).collect()
+                let key_bits = tree.dim().rank() as u32 * tree.finest_bits();
+                radix_sort_positions(&anchor_keys(tree, curve, grouping), key_bits)
             }
         };
         Self {
@@ -143,11 +123,71 @@ impl RestoreRecipe {
     }
 }
 
+/// The curve index of each stream point's anchor, in storage order: all
+/// cells (level-major) for Chained, the leaves for LeafOnly.
+fn anchor_keys(tree: &AmrTree, curve: CurveKind, grouping: GroupingMode) -> Vec<u64> {
+    let dims = tree.dim().rank() as u32;
+    let tile_shift = tree.patch_size().trailing_zeros();
+    let mut keys = AnchoredIndexer::new(curve, dims, tree.finest_bits(), tile_shift);
+    let max_level = tree.max_level();
+    let key = |cell: &Cell| {
+        let c = cell.coord;
+        keys.index(
+            [u64::from(c.x), u64::from(c.y), u64::from(c.z)],
+            max_level - cell.level,
+        )
+    };
+    match grouping {
+        GroupingMode::LeafOnly => tree.leaves().map(key).collect(),
+        GroupingMode::Chained => tree.cells().iter().map(key).collect(),
+    }
+}
+
+/// Positions `0..keys.len()` in stable LSD radix order of `keys`, of which
+/// only the low `key_bits` can be set: ⌈key_bits / 12⌉ passes of
+/// equal-width digits, each moving positions and reading their key through
+/// them. A pass whose digit is the same for every key is skipped.
+fn radix_sort_positions(keys: &[u64], key_bits: u32) -> Vec<u32> {
+    let passes = key_bits.div_ceil(12).max(1);
+    let width = key_bits.div_ceil(passes);
+    let radix = 1usize << width;
+    let mask = (radix - 1) as u64;
+    let n = keys.len();
+
+    // Every pass's histogram in one read of the keys.
+    let mut counts = vec![0u32; passes as usize * radix];
+    for &key in keys {
+        for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
+            hist[((key >> (p as u32 * width)) & mask) as usize] += 1;
+        }
+    }
+
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![0u32; n];
+    for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
+        if hist.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        let mut start = 0u32;
+        for count in hist.iter_mut() {
+            (*count, start) = (start, start + *count);
+        }
+        let shift = p as u32 * width;
+        for &i in &order {
+            let slot = &mut hist[((keys[i as usize] >> shift) & mask) as usize];
+            next[*slot as usize] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use zmesh_amr::{CellCoord, TreeBuilder};
+    use zmesh_amr::{CellCoord, Dim, TreeBuilder};
 
     fn sample_tree() -> Arc<AmrTree> {
         let l0 = vec![

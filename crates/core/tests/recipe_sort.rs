@@ -1,7 +1,10 @@
-//! `RestoreRecipe::build` sorts (curve index, level, storage index)
-//! triples directly. The indirect sort it replaced — an index array sorted
-//! through a `keys[i]` lookup — is kept verbatim below as the reference:
-//! the permutation must be identical for every policy and grouping.
+//! `RestoreRecipe::build` keys cells with `zmesh_sfc::AnchoredIndexer` and
+//! orders them with a stable radix sort on the curve index alone. The
+//! indirect comparison sort it descends from — an index array sorted
+//! through a `(curve index, level)` lookup — is kept verbatim below as the
+//! reference: the permutation must be identical for every policy and
+//! grouping, on trees deep enough for three to six radix passes and on
+//! storage tiles of 1–16 cells a side.
 
 use proptest::prelude::*;
 use rayon::prelude::*;
@@ -41,7 +44,9 @@ fn reference(tree: &AmrTree, policy: OrderingPolicy, grouping: GroupingMode) -> 
 }
 
 /// A random tree under a random storage layout: refinement by a hash of
-/// (seed, level, cell center), then rebuilt with `patch_shift` and `ranks`.
+/// (seed, level, cell center) on levels 0–2, plus a chain of cells around a
+/// seeded focus point down to the deepest level (so a tree up to 18 levels
+/// deep stays small), then rebuilt with `patch_shift` and `ranks`.
 fn random_tree(
     dim: Dim,
     seed: u64,
@@ -55,7 +60,14 @@ fn random_tree(
         Dim::D3 => [3, 2, 3],
     };
     let tree = TreeBuilder::new(dim, base, levels)
-        .refine_where(|level, center, _| {
+        .refine_where(|level, center, half| {
+            let focus = [0.3, 0.6, 0.45].map(|f| f + (seed % 97) as f64 / 400.0);
+            if (0..3).all(|a| half[a] == 0.0 || (center[a] - focus[a]).abs() <= 3.0 * half[a]) {
+                return true;
+            }
+            if level >= 3 {
+                return false;
+            }
             let h = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add((center[0] * 1e6) as u64)
@@ -90,12 +102,13 @@ proptest! {
     fn recipe_matches_indirect_sort_reference(
         dim in prop::sample::select(&[Dim::D2, Dim::D3][..]),
         seed in any::<u64>(),
-        levels in 0u32..4,
+        levels in 0u32..=18,
         density in 0u8..200,
         patch_shift in 0u32..=4,
         ranks in 1u32..=9,
     ) {
         let tree = random_tree(dim, seed, levels, density, patch_shift, ranks);
+        prop_assert!(!tree.level_cells(levels).is_empty(), "focus chain reaches the deepest level");
         for policy in OrderingPolicy::ALL {
             for grouping in [GroupingMode::LeafOnly, GroupingMode::Chained] {
                 let recipe = RestoreRecipe::build(&tree, policy, grouping);

@@ -2,9 +2,10 @@
 //!
 //! The Skilling transform ([`crate::hilbert`]) is compact but costs
 //! O(bits²) per index. This module walks an orientation state machine
-//! instead — O(bits) with two table lookups per level — and is what
-//! [`CurveKind::Hilbert`](crate::CurveKind) dispatches to (recipe
-//! construction in the zMesh core indexes millions of anchors).
+//! instead — O(bits), one table lookup per two levels of the point's
+//! Morton digits — and is what [`CurveKind::Hilbert`](crate::CurveKind)
+//! and [`crate::AnchoredIndexer`] dispatch to (recipe construction in the
+//! zMesh core indexes millions of anchors).
 //!
 //! The state tables are **derived at first use from the Skilling
 //! implementation itself**: states are discovered by breadth-first
@@ -14,6 +15,7 @@
 //! (and the unit/property tests verify it exhaustively anyway).
 
 use crate::hilbert::{hilbert_index_2d, hilbert_index_3d};
+use crate::{morton_index_2d, morton_index_3d};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -35,9 +37,20 @@ struct Row {
     inv_rank: [u8; 8],
 }
 
-struct Tables {
+pub(crate) struct Tables {
     rows: Vec<Row>,
+    /// Two steps at once: `pair[state << 2d | child_hi << d | child_lo] =
+    /// (rank_hi << d | rank_lo) | next_state << 6`.
+    pair: Vec<u16>,
+    /// `zero_tail[state * TAIL + k]`: index digits of `k` steps into child
+    /// 0 (the all-zero-bits child) starting from `state` — the low digits of
+    /// any anchor `coord << k`.
+    zero_tail: Vec<u64>,
 }
+
+/// Row stride of [`Tables::zero_tail`]: `k` runs over `0..=32` (a 2-D index
+/// of 32 bits per axis fills a `u64`; 3-D uses `k ≤ 21`).
+const TAIL: usize = 33;
 
 /// Probe depth used to fingerprint a node's orientation.
 const PROBE: u32 = 3;
@@ -152,7 +165,7 @@ fn build_tables(dim: usize) -> Tables {
         states[sid as usize] = State { rank, next };
     }
 
-    let rows = states
+    let rows: Vec<Row> = states
         .iter()
         .map(|s| {
             let mut row = Row {
@@ -168,10 +181,74 @@ fn build_tables(dim: usize) -> Tables {
             row
         })
         .collect();
-    Tables { rows }
+
+    // tail(s, k) = rank[s][0] · 2^(d(k-1)) + tail(next[s][0], k - 1).
+    let max_k = 64 / dim;
+    let mut zero_tail = vec![0u64; rows.len() * TAIL];
+    for k in 1..=max_k {
+        for (s, row) in rows.iter().enumerate() {
+            let rest = zero_tail[row.next[0] as usize * TAIL + k - 1];
+            zero_tail[s * TAIL + k] = (u64::from(row.rank[0]) << (dim * (k - 1))) | rest;
+        }
+    }
+    let mut pair = vec![0u16; rows.len() << (2 * dim)];
+    for (s, row) in rows.iter().enumerate() {
+        for hi in 0..children {
+            let mid = &rows[row.next[hi] as usize];
+            for lo in 0..children {
+                let digits = u16::from(row.rank[hi]) << dim | u16::from(mid.rank[lo]);
+                pair[s << (2 * dim) | hi << dim | lo] = digits | u16::from(mid.next[lo]) << 6;
+            }
+        }
+    }
+    Tables {
+        rows,
+        pair,
+        zero_tail,
+    }
 }
 
-fn tables(dim: usize) -> &'static Tables {
+impl Tables {
+    /// Continues a walk from `(state, index)` through digits `hi - 1` down
+    /// to `lo` of `m`, the Morton interleave of a point (digit `b` is the
+    /// point's child at bit `b`), appending one `dim`-bit rank per digit.
+    /// Returns the new `(state, index)`.
+    #[inline]
+    pub(crate) fn walk(
+        &self,
+        dim: u32,
+        (mut state, mut index): (u8, u64),
+        m: u64,
+        lo: u32,
+        hi: u32,
+    ) -> (u8, u64) {
+        let mut b = hi;
+        if (hi - lo) % 2 == 1 {
+            b -= 1;
+            let child = ((m >> (dim * b)) & ((1 << dim) - 1)) as usize;
+            let row = &self.rows[state as usize];
+            index = (index << dim) | u64::from(row.rank[child]);
+            state = row.next[child];
+        }
+        while b > lo {
+            b -= 2;
+            let children = ((m >> (dim * b)) & ((1 << (2 * dim)) - 1)) as usize;
+            let pair = self.pair[(state as usize) << (2 * dim) | children];
+            index = (index << (2 * dim)) | u64::from(pair & 63);
+            state = (pair >> 6) as u8;
+        }
+        (state, index)
+    }
+
+    /// The `dim · k` low index bits that `k` zero bits append to a walk in
+    /// `state` (`k ≤ 32` in 2-D, `≤ 21` in 3-D).
+    #[inline]
+    pub(crate) fn zero_tail(&self, state: u8, k: u32) -> u64 {
+        self.zero_tail[state as usize * TAIL + k as usize]
+    }
+}
+
+pub(crate) fn tables(dim: usize) -> &'static Tables {
     static T2: OnceLock<Tables> = OnceLock::new();
     static T3: OnceLock<Tables> = OnceLock::new();
     match dim {
@@ -183,16 +260,7 @@ fn tables(dim: usize) -> &'static Tables {
 /// Table-driven Hilbert index of `(x, y)` — agrees with
 /// [`hilbert_index_2d`] by construction.
 pub fn hilbert_index_2d_fast(x: u64, y: u64, bits: u32) -> u64 {
-    let rows = &tables(2).rows[..];
-    let mut state = 0usize;
-    let mut index = 0u64;
-    for b in (0..bits).rev() {
-        let child = (((y >> b) & 1) << 1 | ((x >> b) & 1)) as usize;
-        let row = rows[state];
-        index = (index << 2) | u64::from(row.rank[child]);
-        state = row.next[child] as usize;
-    }
-    index
+    tables(2).walk(2, (0, 0), morton_index_2d(x, y), 0, bits).1
 }
 
 /// Inverse of [`hilbert_index_2d_fast`].
@@ -214,16 +282,9 @@ pub fn hilbert_point_2d_fast(index: u64, bits: u32) -> (u64, u64) {
 /// Table-driven Hilbert index of `(x, y, z)` — agrees with
 /// [`hilbert_index_3d`] by construction.
 pub fn hilbert_index_3d_fast(x: u64, y: u64, z: u64, bits: u32) -> u64 {
-    let rows = &tables(3).rows[..];
-    let mut state = 0usize;
-    let mut index = 0u64;
-    for b in (0..bits).rev() {
-        let child = ((((z >> b) & 1) << 2) | (((y >> b) & 1) << 1) | ((x >> b) & 1)) as usize;
-        let row = rows[state];
-        index = (index << 3) | u64::from(row.rank[child]);
-        state = row.next[child] as usize;
-    }
-    index
+    tables(3)
+        .walk(3, (0, 0), morton_index_3d(x, y, z), 0, bits)
+        .1
 }
 
 /// Inverse of [`hilbert_index_3d_fast`].

@@ -19,7 +19,15 @@
 //! one contiguous index range. Sorting AMR leaves by the curve index of their
 //! anchor therefore reproduces a recursive SFC traversal of the refinement
 //! tree. This is checked by `tests/dyadic.rs`.
+//!
+//! [`AnchoredIndexer`] computes those anchor indices directly from a cell's
+//! level coordinate and depth `k` (anchor = `coord << k`): Morton shifts the
+//! coordinate's index, Hilbert walks only the coordinate's own bits — and
+//! only the low, per-tile ones when consecutive cells share a storage tile —
+//! then appends a per-state table of the `k` trailing zero digits. The
+//! restore recipe in the zMesh core is built from these keys.
 
+mod anchored;
 mod curve;
 mod hilbert;
 mod hilbert_fast;
@@ -27,6 +35,7 @@ mod morton;
 pub mod ranges;
 mod rowmajor;
 
+pub use anchored::AnchoredIndexer;
 pub use curve::{Curve, CurveKind};
 pub use hilbert::{hilbert_index_2d, hilbert_index_3d, hilbert_point_2d, hilbert_point_3d};
 pub use hilbert_fast::{

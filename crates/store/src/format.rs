@@ -264,6 +264,12 @@ pub struct StoreHeader {
 }
 
 impl StoreHeader {
+    /// Values per chunk implied by the chunk target (the last chunk of a
+    /// field may hold fewer).
+    pub fn chunk_values(&self) -> usize {
+        (self.chunk_target_bytes as usize / 8).max(1)
+    }
+
     /// Grouping mode implied by the storage mode.
     pub fn grouping(&self) -> GroupingMode {
         GroupingMode::from_storage_mode(self.mode)

@@ -489,6 +489,18 @@ impl<S: ByteSource> StoreReader<S> {
             retries: &retries,
             gave_up: &retry_gave_up,
         })?;
+        // Every level-0 cell is a stream point (or covered by leaves that
+        // are), so a base grid larger than the values the footer indexes is
+        // a lie; reject it before the tree decode allocates per cell.
+        let capacity = fields
+            .iter()
+            .map(|f| f.chunks.len() as u64)
+            .max()
+            .unwrap_or(0)
+            .saturating_mul(header.chunk_values() as u64);
+        if AmrTree::structure_base_cells(&header.structure)? > capacity {
+            return Err(StoreError::Corrupt("base grid exceeds stored values"));
+        }
         let tree = Arc::new(AmrTree::from_structure_bytes(&header.structure)?);
         let grouping = header.grouping();
         let recipe = match cache {
@@ -663,16 +675,11 @@ impl<S: ByteSource> StoreReader<S> {
             .ok_or_else(|| StoreError::UnknownField(name.to_string()))
     }
 
-    /// Values per chunk implied by the header.
-    fn chunk_values(&self) -> usize {
-        (self.header.chunk_target_bytes as usize / 8).max(1)
-    }
-
     /// The stream positions chunk `i` covers. Saturating: `i` comes from a
     /// footer whose chunk count is untrusted, so an absurd index yields an
     /// empty range instead of a multiply-overflow panic.
     fn stream_range(&self, i: usize) -> Range<usize> {
-        let cv = self.chunk_values();
+        let cv = self.header.chunk_values();
         let lo = i.saturating_mul(cv).min(self.recipe.len());
         let hi = lo.saturating_add(cv).min(self.recipe.len());
         lo..hi

@@ -422,7 +422,7 @@ impl<'a> RawSource<'a> {
     }
 
     /// Reuses an existing recipe cache for the re-encode (the same cache a
-    /// long-lived writer holds), skipping the parallel recipe rebuild.
+    /// long-lived writer holds), skipping the recipe rebuild.
     pub fn with_cache(mut self, cache: &'a RecipeCache) -> Self {
         self.cache = Some(cache);
         self
@@ -485,7 +485,7 @@ fn raw_encode_field(
     };
     let (recipe, _) = cache.get_or_build(tree, &header.structure, header.policy, grouping);
     let stream = recipe.apply(field.values());
-    let chunk_values = (header.chunk_target_bytes as usize / 8).max(1);
+    let chunk_values = header.chunk_values();
     if stream.len().div_ceil(chunk_values) != entry.chunks.len() {
         return Err(StoreError::InvalidOptions(
             "raw dataset value count disagrees with the store's chunk plan",

@@ -217,8 +217,8 @@ pub struct StoreWritten {
 
 /// Writes chunked, indexed v2 stores. Reusing one writer (or sharing its
 /// [`RecipeCache`]) across fields, timesteps, or whole runs amortizes the
-/// recipe build — the Nth write against the same mesh skips the parallel
-/// sort entirely.
+/// recipe build — the Nth write against the same mesh skips the keying and
+/// radix sort entirely.
 #[derive(Debug, Clone)]
 pub struct StoreWriter {
     config: CompressionConfig,

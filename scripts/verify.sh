@@ -37,6 +37,12 @@ step cargo test -q --release --workspace
 step env ZMESH_FORCE_SCALAR=1 cargo test -q -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store
 step env ZMESH_FORCE_SCALAR=1 cargo test -q --release -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store
 
+# Repo benchmark smoke at Tiny scale: every workload's output checks
+# (cold-read's exact cell selection depends on the restore recipe's
+# permutation) must pass. perfbench is its own workspace, so it needs its
+# own manifest path.
+step cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # Self-healing smoke: pack → inject fault → scrub → repair → bit-exact.
 step bash scripts/scrub_smoke.sh
 

@@ -275,6 +275,41 @@ fn hostile_structure_headers_are_typed_errors() {
 }
 
 #[test]
+fn hostile_base_grid_is_rejected_before_the_tree_decode() {
+    // A valid store whose structure is swapped for one declaring a
+    // 65535 × 65535 level-0 grid (passes the u32 cell bound; ~34 GB of cell
+    // keys), re-signed so the index CRC holds: open must compare the base
+    // grid with the footer's value capacity before allocating per cell.
+    let valid = v2_bytes();
+    let (header, _, payload) = store::open_parts(valid).expect("valid fixture");
+    let footer_at = payload.end;
+    let trailer_at = valid.len() - store::TRAILER_BYTES;
+    let resign = |structure: &[u8]| -> Vec<u8> {
+        let fixed = header.header_bytes - header.structure.len();
+        let mut out = valid[..fixed - 8].to_vec();
+        out.extend_from_slice(&(structure.len() as u64).to_le_bytes());
+        out.extend_from_slice(structure);
+        let footer = &valid[footer_at..trailer_at];
+        let mut signed = out.clone();
+        signed.extend_from_slice(footer);
+        let new_footer_at = (out.len() + payload.len()) as u64;
+        out.extend_from_slice(&valid[payload.clone()]);
+        out.extend_from_slice(footer);
+        out.extend_from_slice(&new_footer_at.to_le_bytes());
+        out.extend_from_slice(&zmesh::crc32(&signed).to_le_bytes());
+        out.extend_from_slice(&valid[trailer_at + 12..]);
+        out
+    };
+    // Re-signing the fixture's own structure reproduces it byte for byte.
+    assert_eq!(resign(&header.structure), valid);
+
+    let hostile = resign(&structure_blob(&[1, 65535, 65535, 1, 0]));
+    let got = std::panic::catch_unwind(|| StoreReader::open(&hostile).map(|_| ()));
+    assert!(matches!(got, Ok(Err(StoreError::Corrupt(_)))), "{got:?}");
+    must_not_panic(&hostile);
+}
+
+#[test]
 fn hostile_entropy_and_sz_headers_are_typed_errors() {
     use zmesh_codecs::lossless::huffman;
     use zmesh_codecs::{Codec, CodecError, SzCodec};
