@@ -1,16 +1,15 @@
 //! Criterion bench: SZ/ZFP encode and decode throughput on a representative
 //! AMR stream (MB/s figures quoted in EXPERIMENTS.md), and the Huffman
 //! entropy stage alone at two chunk sizes, so a change in its per-call
-//! fixed cost shows without a full perfbench run.
+//! fixed cost shows without a full perfbench run, and the SZ encode of
+//! four store chunks one stream at a time vs four lanes at once.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use zmesh::{linearize, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::lossless::huffman;
-use zmesh_codecs::sz::predictor::{History, Predictor};
-use zmesh_codecs::sz::quantizer::{QuantOutcome, Quantizer, ESCAPE};
-use zmesh_codecs::sz::SzConfig;
+use zmesh_codecs::sz::{quantize_streams, SzConfig};
 use zmesh_codecs::{Codec, CodecParams, EntropyCoder, SzCodec, ZfpCodec};
 
 fn stream() -> Vec<f64> {
@@ -21,31 +20,15 @@ fn stream() -> Vec<f64> {
 /// The quantization codes SZ's 1-D path emits for `data` at absolute
 /// bound `eb`: the entropy stage's input.
 fn sz_codes(data: &[f64], eb: f64) -> Vec<u16> {
-    let quant = Quantizer::new(eb);
-    let mut history = History::new();
-    let mut codes = Vec::with_capacity(data.len());
-    for block in data.chunks(SzConfig::default().chunk_size) {
-        let pred = Predictor::select(block, &history, eb);
-        for &x in block {
-            match quant.quantize(x, pred.predict(&history)) {
-                QuantOutcome::Code { symbol, recon } => {
-                    codes.push(symbol);
-                    history.push(recon);
-                }
-                QuantOutcome::Escape => {
-                    codes.push(ESCAPE);
-                    history.push(x);
-                }
-            }
-        }
-    }
-    codes
+    let block = SzConfig::default().chunk_size;
+    quantize_streams(&[data], eb, false, block)
+        .remove(0)
+        .symbols
 }
 
-/// Huffman encode/decode on real SZ codes: a Standard `blast2d` field in
-/// Hilbert order at a 1e-4 range-relative bound, cut into store-sized
-/// chunks of 256 and 8192 values from the middle of the stream.
-fn bench_huffman(c: &mut Criterion) {
+/// A Standard `blast2d` field in Hilbert order and its 1e-4
+/// range-relative bound as an absolute one.
+fn standard_stream() -> (Vec<f64>, f64) {
     let ds = datasets::blast2d(StorageMode::AllCells, Scale::Standard);
     let data = linearize(ds.primary(), OrderingPolicy::Hilbert).0;
     let (lo, hi) = data
@@ -53,7 +36,14 @@ fn bench_huffman(c: &mut Criterion) {
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
             (lo.min(x), hi.max(x))
         });
-    let eb = 1e-4 * (hi - lo);
+    (data, 1e-4 * (hi - lo))
+}
+
+/// Huffman encode/decode on real SZ codes: a Standard `blast2d` field in
+/// Hilbert order at a 1e-4 range-relative bound, cut into store-sized
+/// chunks of 256 and 8192 values from the middle of the stream.
+fn bench_huffman(c: &mut Criterion) {
+    let (data, eb) = standard_stream();
     let mut g = c.benchmark_group("huffman");
     for n in [256, 8192] {
         let start = (data.len() / 2).min(data.len() - n);
@@ -65,6 +55,34 @@ fn bench_huffman(c: &mut Criterion) {
         });
         g.bench_function(format!("decode/{n}"), |b| {
             b.iter(|| huffman::decode(black_box(&coded)).unwrap())
+        });
+    }
+    g.finish();
+}
+
+/// SZ encode of four consecutive store-sized chunks (256 and 8192 values)
+/// from the middle of the Standard stream, on one thread: `chunks_1`
+/// compresses them one `compress` call at a time (the scalar single-stream
+/// path), `chunks_4` in one `compress_chunks` run (the four-lane kernel
+/// where the CPU has AVX2). Same bytes out; throughput is values encoded.
+fn bench_sz_lanes(c: &mut Criterion) {
+    let (data, eb) = standard_stream();
+    let params = CodecParams::abs_1d(eb);
+    let codec = SzCodec::new();
+    let mut g = c.benchmark_group("sz_encode");
+    for n in [256, 8192] {
+        let start = (data.len() / 2).min(data.len() - 4 * n);
+        let run = &data[start..start + 4 * n];
+        g.throughput(Throughput::Elements(run.len() as u64));
+        g.bench_function(format!("chunks_1/{n}"), |b| {
+            b.iter(|| {
+                run.chunks(n)
+                    .map(|chunk| codec.compress(black_box(chunk), &params).unwrap())
+                    .collect::<Vec<_>>()
+            })
+        });
+        g.bench_function(format!("chunks_4/{n}"), |b| {
+            b.iter(|| codec.compress_chunks(black_box(run), &params, n).unwrap())
         });
     }
     g.finish();
@@ -112,5 +130,5 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_codecs, bench_huffman);
+criterion_group!(benches, bench_codecs, bench_huffman, bench_sz_lanes);
 criterion_main!(benches);

@@ -11,6 +11,9 @@ use zmesh_bitstream::{BitReader, BitWriter};
 const WINDOW: usize = 1 << 15;
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
+/// Most output bytes one body byte can produce: a 24-bit match token
+/// yields `MAX_MATCH`.
+const MAX_EXPANSION: usize = MAX_MATCH.div_ceil(3);
 const HASH_BITS: u32 = 15;
 
 #[inline]
@@ -80,7 +83,10 @@ pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
 /// Decompresses an LZSS body; `expected_len` is the stored original size.
 pub fn decompress(body: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
     let mut r = BitReader::new(body);
-    let mut out: Vec<u8> = Vec::with_capacity(expected_len);
+    // Untrusted length: reserve no more than the body can expand to; a
+    // larger claim runs out of flags below.
+    let mut out: Vec<u8> =
+        Vec::with_capacity(expected_len.min(body.len().saturating_mul(MAX_EXPANSION)));
     while out.len() < expected_len {
         let is_match = r
             .read_bit()

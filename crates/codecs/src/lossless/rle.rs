@@ -8,6 +8,10 @@
 
 use crate::CodecError;
 
+/// Most output bytes one body byte can produce: a 2-byte repeat run
+/// yields 128.
+const MAX_EXPANSION: usize = 64;
+
 /// Compresses `data`, appending to `out`.
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     let mut i = 0;
@@ -40,7 +44,9 @@ pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
 
 /// Decompresses a PackBits body; `expected_len` is the stored original size.
 pub fn decompress(body: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    // Untrusted length: reserve no more than the body can expand to; a
+    // larger claim fails the length check below.
+    let mut out = Vec::with_capacity(expected_len.min(body.len().saturating_mul(MAX_EXPANSION)));
     let mut i = 0;
     while i < body.len() {
         let c = body[i];

@@ -17,6 +17,13 @@
 //! stay in lockstep and the bound `|x - x̂| <= eb` holds pointwise — the
 //! crate-level property tests enforce this for arbitrary finite inputs.
 //!
+//! Steps 1–2 of the 1-D path run in [`quantize_streams`]: independent
+//! streams under one bound (the consecutive chunks of a store field)
+//! advance together, up to [`LANES`] at once, through the lane-parallel
+//! [`zmesh_kernels::sz::quantize_lanes`] kernel. [`SzCodec::compress`] is
+//! the one-stream call; [`Codec::compress_chunks`] hands runs of chunks to
+//! it. A stream's bytes never depend on which streams shared its call.
+//!
 //! This codec is the one most sensitive to 1-D stream smoothness: a smooth
 //! stream concentrates quantization codes near zero, which Huffman rewards.
 //! That sensitivity is exactly what zMesh exploits (the abstract reports up
@@ -31,9 +38,14 @@ pub mod predictor;
 pub mod quantizer;
 
 use crate::lossless::{huffman, rangecoder, Backend};
-use crate::{varint, Codec, CodecError, CodecKind, CodecParams, ErrorControl, ValueType};
+use crate::{
+    varint, ChunkedStream, Codec, CodecError, CodecKind, CodecParams, ErrorControl, ValueType,
+};
 use predictor::{History, Predictor};
-use quantizer::{QuantOutcome, Quantizer, ESCAPE};
+use quantizer::{Quantizer, ESCAPE};
+use zmesh_kernels::sz::{quantize_lanes, Lane};
+
+pub use zmesh_kernels::sz::LANES;
 
 const MAGIC: &[u8; 4] = b"SZR1";
 
@@ -153,50 +165,93 @@ impl SzCodec {
             },
         }
     }
+
+    /// 1-D encode of up to [`LANES`] streams under one resolved bound:
+    /// one kernel call per block advances all of them together.
+    fn encode_run(
+        &self,
+        run: &[&[f64]],
+        eb: f64,
+        value_type: ValueType,
+    ) -> Result<Vec<Vec<u8>>, CodecError> {
+        if value_type == ValueType::F32 {
+            for data in run {
+                check_f32(data)?;
+            }
+        }
+        let block = self.config.chunk_size.max(1);
+        let quantized = quantize_streams(run, eb, value_type == ValueType::F32, block);
+        Ok(quantized
+            .iter()
+            .zip(run)
+            .map(|(q, data)| frame(q, data.len(), eb, [0, 0, 0], value_type, &self.config))
+            .collect())
+    }
+}
+
+/// The absolute bound `params` resolves to over `data`, validated.
+fn resolve_bound(params: &CodecParams, data: &[f64]) -> Result<f64, CodecError> {
+    let eb = match params.control {
+        ErrorControl::FixedRate(_) | ErrorControl::FixedPrecision(_) => {
+            return Err(CodecError::InvalidBound(f64::NAN));
+        }
+        ref c => c.absolute_bound(data).expect("bound-style control"),
+    };
+    if !eb.is_finite() || eb < 0.0 {
+        return Err(CodecError::InvalidBound(eb));
+    }
+    Ok(eb)
+}
+
+/// Escapes are stored in 4 bytes in f32 mode, so every value must survive
+/// the f64 → f32 → f64 round trip exactly (NaN payloads excepted).
+fn check_f32(data: &[f64]) -> Result<(), CodecError> {
+    match data
+        .iter()
+        .position(|&v| !v.is_nan() && v != f64::from(v as f32))
+    {
+        Some(index) => Err(CodecError::NotSinglePrecision { index }),
+        None => Ok(()),
+    }
 }
 
 impl Codec for SzCodec {
     fn compress(&self, data: &[f64], params: &CodecParams) -> Result<Vec<u8>, CodecError> {
-        let eb = match params.control {
-            ErrorControl::FixedRate(_) | ErrorControl::FixedPrecision(_) => {
-                return Err(CodecError::InvalidBound(f64::NAN));
-            }
-            ref c => c.absolute_bound(data).expect("bound-style control"),
-        };
-        if !eb.is_finite() || eb < 0.0 {
-            return Err(CodecError::InvalidBound(eb));
-        }
+        let eb = resolve_bound(params, data)?;
         let dims = params.dimensionality();
+        if dims == 1 {
+            let mut one = self.encode_run(&[data], eb, params.value_type)?;
+            return Ok(one.pop().expect("one stream in, one payload out"));
+        }
         let grid = match dims {
-            1 => [data.len(), 1, 1],
             2 => [params.dims[0], params.dims[1], 1],
             _ => params.dims,
         };
         let expected: usize = grid.iter().product();
-        if dims > 1 && expected != data.len() {
+        if expected != data.len() {
             return Err(CodecError::DimsMismatch {
                 expected,
                 actual: data.len(),
             });
         }
         if params.value_type == ValueType::F32 {
-            // Escapes are stored in 4 bytes, so every value must survive the
-            // f64 -> f32 -> f64 round trip exactly (NaN payloads excepted).
-            for (i, &v) in data.iter().enumerate() {
-                if !v.is_nan() && v != f64::from(v as f32) {
-                    return Err(CodecError::NotSinglePrecision { index: i });
-                }
-            }
+            check_f32(data)?;
         }
-        compress_impl(
-            data,
+        let quant = Quantizer::with_snap(eb, params.value_type == ValueType::F32);
+        let (symbols, exact) = lorenzo::encode(data, grid, dims, &quant);
+        let q = Quantized {
+            tags: Vec::new(),
+            symbols,
+            exact,
+        };
+        Ok(frame(
+            &q,
+            data.len(),
             eb,
             params.dims,
-            dims,
-            grid,
             params.value_type,
             &self.config,
-        )
+        ))
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
@@ -206,58 +261,141 @@ impl Codec for SzCodec {
     fn kind(&self) -> CodecKind {
         CodecKind::Sz
     }
+
+    /// Runs of up to [`LANES`] consecutive chunks encode together — one
+    /// predict + quantize kernel call per block advances the whole run —
+    /// and runs go to the thread pool. Every payload is byte-identical to
+    /// [`Codec::compress`] of its chunk under the resolved bound.
+    fn compress_chunks(
+        &self,
+        data: &[f64],
+        params: &CodecParams,
+        chunk_values: usize,
+    ) -> Result<ChunkedStream, CodecError>
+    where
+        Self: Sync,
+    {
+        use rayon::prelude::*;
+
+        if chunk_values == 0 {
+            return Err(CodecError::ChunkParams("chunk size must be positive"));
+        }
+        if params.dimensionality() != 1 {
+            return Err(CodecError::ChunkParams("requires 1-D params"));
+        }
+        let mut params = *params;
+        let resolved_bound = params.control.absolute_bound(data);
+        if let Some(bound) = resolved_bound {
+            params.control = ErrorControl::Absolute(bound);
+        }
+        let chunks: Vec<&[f64]> = data.chunks(chunk_values).collect();
+        let runs: Vec<Vec<Vec<u8>>> = chunks
+            .par_chunks(LANES)
+            .map(|run| {
+                let eb = resolve_bound(&params, run[0])?;
+                self.encode_run(run, eb, params.value_type)
+            })
+            .collect::<Result<_, CodecError>>()?;
+        Ok(ChunkedStream {
+            payloads: runs.into_iter().flatten().collect(),
+            chunk_lens: chunks.iter().map(|c| c.len()).collect(),
+            resolved_bound,
+        })
+    }
 }
 
-fn compress_impl(
-    data: &[f64],
+/// Predictor tags (one per block), quantization symbols (one per value)
+/// and verbatim escaped values of one 1-D SZ stream — the payload
+/// [`SzCodec`] entropy-codes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Quantized {
+    /// [`Predictor::tag`] of each `block`-sized block.
+    pub tags: Vec<u8>,
+    /// One symbol per value; [`ESCAPE`] marks a verbatim value.
+    pub symbols: Vec<u16>,
+    /// The escaped values, in stream order.
+    pub exact: Vec<f64>,
+}
+
+/// SZ's 1-D predict + quantize over up to [`LANES`] independent streams,
+/// each starting with empty history, under one absolute bound `eb`:
+/// every `block` values a stream picks its predictor by trial
+/// ([`Predictor::select`]), then one [`zmesh_kernels::sz::quantize_lanes`]
+/// call advances the block of every stream still running. The result per
+/// stream does not depend on which streams share the call.
+///
+/// # Panics
+///
+/// When more than [`LANES`] streams are given.
+pub fn quantize_streams(
+    streams: &[&[f64]],
+    eb: f64,
+    snap_f32: bool,
+    block: usize,
+) -> Vec<Quantized> {
+    assert!(streams.len() <= LANES, "at most {LANES} streams");
+    let block = block.max(1);
+    let mut out: Vec<Quantized> = streams
+        .iter()
+        .map(|s| Quantized {
+            tags: Vec::with_capacity(s.len().div_ceil(block)),
+            symbols: vec![ESCAPE; s.len()],
+            exact: Vec::new(),
+        })
+        .collect();
+    let mut history = [History::new(); LANES];
+    let mut escapes: [Vec<usize>; LANES] = Default::default();
+    let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    for lo in (0..longest).step_by(block) {
+        let mut lanes = Vec::with_capacity(LANES);
+        for (((&data, q), h), e) in streams
+            .iter()
+            .zip(&mut out)
+            .zip(&mut history)
+            .zip(&mut escapes)
+        {
+            if lo >= data.len() {
+                continue;
+            }
+            let values = &data[lo..(lo + block).min(data.len())];
+            let pred = Predictor::select(values, h, eb);
+            q.tags.push(pred.tag());
+            lanes.push(Lane {
+                values,
+                order: pred.order(),
+                history: h,
+                symbols: &mut q.symbols[lo..lo + values.len()],
+                escapes: e,
+            });
+        }
+        quantize_lanes(&mut lanes, eb, snap_f32);
+        drop(lanes);
+        for ((&data, q), e) in streams.iter().zip(&mut out).zip(&mut escapes) {
+            q.exact.extend(e.drain(..).map(|j| data[lo + j]));
+        }
+    }
+    out
+}
+
+/// Serializes one SZ stream of `n` values: the header (magic, length,
+/// bound, stored dims, block size, stage tags), then the payload —
+/// predictor tags, entropy-coded symbols, exact values — through the
+/// lossless back end.
+fn frame(
+    q: &Quantized,
+    n: usize,
     eb: f64,
     stored_dims: [usize; 3],
-    dims: usize,
-    grid: [usize; 3],
     value_type: ValueType,
     config: &SzConfig,
-) -> Result<Vec<u8>, CodecError> {
-    let chunk = config.chunk_size.max(1);
-    let quant = Quantizer::with_snap(eb, value_type == ValueType::F32);
-
-    let mut pred_tags = Vec::new();
-    let (symbols, exact) = if dims == 1 {
-        let n_chunks = data.len().div_ceil(chunk);
-        pred_tags.reserve(n_chunks);
-        let mut symbols: Vec<u16> = Vec::with_capacity(data.len());
-        let mut exact: Vec<f64> = Vec::new();
-        let mut history = History::new();
-        for block in data.chunks(chunk) {
-            let pred = Predictor::select(block, &history, eb);
-            pred_tags.push(pred.tag());
-            for &x in block {
-                let p = pred.predict(&history);
-                match quant.quantize(x, p) {
-                    QuantOutcome::Code { symbol, recon } => {
-                        symbols.push(symbol);
-                        history.push(recon);
-                    }
-                    QuantOutcome::Escape => {
-                        symbols.push(ESCAPE);
-                        exact.push(x);
-                        history.push(x);
-                    }
-                }
-            }
-        }
-        (symbols, exact)
-    } else {
-        lorenzo::encode(data, grid, dims, &quant)
-    };
-
-    // Payload: predictor tags (1-D only), entropy-coded symbols, exact values.
-    let mut payload = Vec::with_capacity(data.len() / 2 + 64);
-    payload.extend_from_slice(&pred_tags);
-    let coded = config.entropy.encode(&symbols);
+) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(n / 2 + 64);
+    payload.extend_from_slice(&q.tags);
+    let coded = config.entropy.encode(&q.symbols);
     varint::write_u64(&mut payload, coded.len() as u64);
     payload.extend_from_slice(&coded);
-    varint::write_u64(&mut payload, exact.len() as u64);
-    for &v in &exact {
+    varint::write_u64(&mut payload, q.exact.len() as u64);
+    for &v in &q.exact {
         match value_type {
             ValueType::F64 => varint::write_f64(&mut payload, v),
             ValueType::F32 => varint::write_f32(&mut payload, v as f32),
@@ -267,17 +405,17 @@ fn compress_impl(
     let body = config.backend.compress(&payload);
     let mut out = Vec::with_capacity(body.len() + 32);
     out.extend_from_slice(MAGIC);
-    varint::write_u64(&mut out, data.len() as u64);
+    varint::write_u64(&mut out, n as u64);
     varint::write_f64(&mut out, eb);
     for d in stored_dims {
         varint::write_u64(&mut out, d as u64);
     }
-    varint::write_u64(&mut out, chunk as u64);
+    varint::write_u64(&mut out, config.chunk_size.max(1) as u64);
     out.push(config.backend.tag());
     out.push(config.entropy.tag());
     out.push(value_type.tag());
     out.extend_from_slice(&body);
-    Ok(out)
+    out
 }
 
 fn decompress_impl(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
@@ -304,7 +442,9 @@ fn decompress_impl(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         2 => [stored_dims[0], stored_dims[1], 1],
         _ => stored_dims,
     };
-    if grid.iter().product::<usize>() != n {
+    // Untrusted dims: a product that overflows cannot match any length.
+    let cells = grid.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+    if cells != Some(n) {
         return Err(CodecError::Corrupt("stored dims mismatch length"));
     }
     let chunk = varint::read_u64(bytes, &mut pos)? as usize;

@@ -5,44 +5,9 @@
 //! gracefully degrade (quadratic → linear → last-value → 0) until enough
 //! history exists.
 
-/// Rolling window of the last three reconstructed values.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct History {
-    vals: [f64; 3],
-    len: usize,
-}
-
-impl History {
-    /// Empty history (start of stream).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pushes a newly reconstructed value.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.vals[2] = self.vals[1];
-        self.vals[1] = self.vals[0];
-        self.vals[0] = x;
-        self.len = (self.len + 1).min(3);
-    }
-
-    /// Number of valid history entries (0..=3).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether any history exists yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn prev(&self, k: usize) -> f64 {
-        debug_assert!(k < self.len);
-        self.vals[k]
-    }
-}
+/// Rolling window of the last three reconstructed values (shared with
+/// the predict + quantize kernel).
+pub use zmesh_kernels::sz::History;
 
 /// The three SZ "curve-fitting" predictors along the 1-D stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,16 +47,17 @@ impl Predictor {
     /// gracefully when fewer than the required samples exist.
     #[inline]
     pub fn predict(&self, h: &History) -> f64 {
-        let order = match self {
+        zmesh_kernels::sz::predict(self.order(), h)
+    }
+
+    /// Polynomial order: the number of history values the full stencil
+    /// reads (1, 2 or 3).
+    #[inline]
+    pub fn order(&self) -> usize {
+        match self {
             Predictor::Last => 1,
             Predictor::Linear => 2,
             Predictor::Quadratic => 3,
-        };
-        match order.min(h.len()) {
-            0 => 0.0,
-            1 => h.prev(0),
-            2 => 2.0 * h.prev(0) - h.prev(1),
-            _ => 3.0 * h.prev(0) - 3.0 * h.prev(1) + h.prev(2),
         }
     }
 

@@ -7,11 +7,11 @@
 //! value is stored verbatim — so the bound holds **unconditionally**.
 
 /// Reserved symbol meaning "unpredictable, value stored verbatim".
-pub const ESCAPE: u16 = 0;
+pub const ESCAPE: u16 = zmesh_kernels::sz::ESCAPE;
 
 /// Half-width of the code table: codes occupy `[-(RADIUS-1), RADIUS-1]`,
 /// mapped to symbols `1 ..= 2*RADIUS - 1` (symbol 0 is [`ESCAPE`]).
-pub const RADIUS: i64 = 1 << 15;
+pub const RADIUS: i64 = zmesh_kernels::sz::RADIUS as i64;
 
 /// Quantizer for a fixed absolute error bound.
 #[derive(Debug, Clone, Copy)]
@@ -64,31 +64,14 @@ impl Quantizer {
         }
     }
 
-    /// Quantizes `x` against prediction `pred`.
-    ///
-    /// The negated comparisons below are deliberate: they treat NaN as
-    /// out-of-range, which must fall through to the escape path.
+    /// Quantizes `x` against prediction `pred` with the scalar step of
+    /// [`zmesh_kernels::sz::quantize_lanes`]: NaN, ±∞, `eb = 0` and
+    /// residuals outside the code table escape.
     #[inline]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn quantize(&self, x: f64, pred: f64) -> QuantOutcome {
-        if self.eb == 0.0 || !x.is_finite() || !pred.is_finite() {
-            return QuantOutcome::Escape;
-        }
-        let diff = x - pred;
-        let code_f = (diff / self.two_eb).round();
-        if !(code_f.abs() < (RADIUS - 1) as f64) {
-            return QuantOutcome::Escape;
-        }
-        let code = code_f as i64;
-        let recon = self.snap(pred + code as f64 * self.two_eb);
-        // Floating-point safety net (including snap error): guarantee the
-        // bound or escape.
-        if !((x - recon).abs() <= self.eb) {
-            return QuantOutcome::Escape;
-        }
-        QuantOutcome::Code {
-            symbol: (code + RADIUS) as u16,
-            recon,
+        match zmesh_kernels::sz::quantize_one(x, pred, self.eb, self.snap_f32) {
+            Some((symbol, recon)) => QuantOutcome::Code { symbol, recon },
+            None => QuantOutcome::Escape,
         }
     }
 

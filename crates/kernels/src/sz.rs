@@ -1,11 +1,21 @@
 //! SIMD kernels for the SZ predict–quantize–reconstruct pipeline.
 //!
 //! The SZ hot loops are chained through *reconstructed* values (each
-//! prediction reads the previous reconstruction), so the chain itself
-//! cannot be vectorized without changing the emitted bytes. Two pieces
-//! are data-parallel **and** bit-exactly reproducible, and they are what
-//! this module lifts:
+//! prediction reads the previous reconstruction), so the chain *within
+//! one stream* cannot be vectorized without changing the emitted bytes.
+//! Three pieces are data-parallel **and** bit-exactly reproducible, and
+//! they are what this module lifts:
 //!
+//! * [`quantize_lanes`] — the 1-D predict + quantize loop itself, run over
+//!   up to [`LANES`] *independent* streams at once, one stream per AVX2
+//!   lane. Every store chunk is its own SZ stream that starts with empty
+//!   history, so the consecutive chunks of one field are independent
+//!   chains under one shared error bound. Each lane performs exactly the
+//!   scalar IEEE operations of [`quantize_lanes_scalar`] — the monomorphic
+//!   per-predictor loop with its history in registers, which runs the
+//!   lanes one after another and is also the single-stream path. Lanes
+//!   have their own lengths (a masked tail) and their own predictor for
+//!   the current block.
 //! * [`trial_costs`] — predictor selection runs three full trial passes
 //!   over every block using *original* values (the standard SZ
 //!   approximation), i.e. three independent sliding-window stencils with
@@ -22,6 +32,22 @@
 //! scalar path performs on the same operands, in the same per-element
 //! order (no FMA contraction, no reassociated sums), which is what the
 //! differential tests below pin down.
+//!
+//! # The quantizer arithmetic
+//!
+//! A value `x` with prediction `p` gets the code `round(q)`,
+//! `q = (x − p) / 2eb`, where `round` is half away from zero. Both paths
+//! evaluate it as `trunc(q + copysign(0.49999999999999994, q))`, which is
+//! exact for every `q` (`f64::round` is an out-of-line call on baseline
+//! x86-64); the sign is taken from `x − p`, which `q` shares, so the
+//! offset is ready before the divide finishes. `|trunc(s)| < RADIUS − 1` holds exactly when
+//! `|s| < RADIUS − 1`, so the range check runs before truncating; NaN and
+//! ±∞ fail it, which is how `eb = 0`, non-finite inputs, non-finite
+//! predictions and overflowing residuals all escape. The scalar path
+//! truncates through `i32` (the symbol needs the integer anyway), the
+//! AVX2 path with `vroundpd`; the two differ only in the sign of a zero
+//! code, hence of a zero reconstruction, and that sign never reaches a
+//! symbol, an escape decision or a stored value.
 
 use crate::caps;
 
@@ -213,6 +239,414 @@ unsafe fn symbol_deltas_avx2(symbols: &[u16], bias: i32, scale: f64, out: &mut [
     symbol_deltas_scalar(&symbols[i..], bias, scale, &mut out[i..]);
 }
 
+/// Half-width of the SZ code table: codes occupy `[-(RADIUS-1), RADIUS-1]`
+/// and map to symbols `code + RADIUS`; symbol 0 is [`ESCAPE`].
+pub const RADIUS: i32 = 1 << 15;
+
+/// Reserved symbol meaning "unpredictable, value stored verbatim".
+pub const ESCAPE: u16 = 0;
+
+/// Most streams one [`quantize_lanes`] call advances together.
+pub const LANES: usize = 4;
+
+/// The largest `f64` below ½: `trunc(q + copysign(HALF_DOWN, q))` rounds
+/// half away from zero without the double rounding `q + 0.5` suffers.
+const HALF_DOWN: f64 = 0.499_999_999_999_999_94;
+
+/// Codes must stay strictly inside `±(RADIUS − 1)`.
+const CODE_LIMIT: f64 = (RADIUS - 1) as f64;
+
+/// Rolling window of the last three reconstructed values of one SZ
+/// stream, newest first.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct History {
+    vals: [f64; 3],
+    len: usize,
+}
+
+impl History {
+    /// Empty history (start of stream).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pushes a newly reconstructed value.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.vals[2] = self.vals[1];
+        self.vals[1] = self.vals[0];
+        self.vals[0] = x;
+        self.len = (self.len + 1).min(3);
+    }
+
+    /// Number of valid history entries (0..=3).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether any history exists yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `k`-th most recent value (`k < len()`).
+    #[inline]
+    pub fn prev(&self, k: usize) -> f64 {
+        debug_assert!(k < self.len);
+        self.vals[k]
+    }
+}
+
+/// The SZ stream prediction of order `order` (1 last-value, 2 linear,
+/// 3 quadratic) from `h`, degrading to the highest order the history
+/// supports (and to 0 on an empty history).
+#[inline]
+pub fn predict(order: usize, h: &History) -> f64 {
+    let [h0, h1, h2] = h.vals;
+    match order.min(h.len) {
+        0 => 0.0,
+        1 => h0,
+        2 => 2.0 * h0 - h1,
+        _ => 3.0 * h0 - 3.0 * h1 + h2,
+    }
+}
+
+/// One stream's block inside [`quantize_lanes`].
+#[derive(Debug)]
+pub struct Lane<'a> {
+    /// The block's input values.
+    pub values: &'a [f64],
+    /// Predictor order for the block: 1 last-value, 2 linear, 3 quadratic.
+    pub order: usize,
+    /// Reconstruction history: read at the block start, left at its end.
+    pub history: &'a mut History,
+    /// One symbol per value (same length as `values`).
+    pub symbols: &'a mut [u16],
+    /// Positions (into `values`) of the escaped values, appended in order.
+    pub escapes: &'a mut Vec<usize>,
+}
+
+/// Quantizes `x` against prediction `pred`: `Some((symbol, recon))` or
+/// `None` for an escape. See the module docs for the arithmetic.
+///
+/// The negated comparisons are deliberate: NaN must escape.
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn quantize_value<const SNAP: bool>(x: f64, pred: f64, eb: f64, two_eb: f64) -> Option<(u16, f64)> {
+    let diff = x - pred;
+    let q = diff / two_eb;
+    // Same sign as `q` (2eb > 0; otherwise q is NaN/±∞ and escapes).
+    let s = q + HALF_DOWN.copysign(diff);
+    if !(s.abs() < CODE_LIMIT) {
+        return None;
+    }
+    // SAFETY: |s| < RADIUS − 1, so `s` is finite and truncates into i32.
+    let code: i32 = unsafe { s.to_int_unchecked() };
+    let mut recon = pred + f64::from(code) * two_eb;
+    if SNAP {
+        recon = recon as f32 as f64;
+    }
+    // Floating-point safety net (including snap error): the bound holds
+    // or the value escapes.
+    if !((x - recon).abs() <= eb) {
+        return None;
+    }
+    Some(((code + RADIUS) as u16, recon))
+}
+
+/// The scalar step of [`quantize_lanes`]: quantizes `x` against
+/// prediction `pred` under bound `eb`, snapping the reconstruction to
+/// `f32` when `snap_f32` is set. `Some((symbol, recon))`, or `None` for
+/// an escape.
+#[inline]
+pub fn quantize_one(x: f64, pred: f64, eb: f64, snap_f32: bool) -> Option<(u16, f64)> {
+    if snap_f32 {
+        quantize_value::<true>(x, pred, eb, 2.0 * eb)
+    } else {
+        quantize_value::<false>(x, pred, eb, 2.0 * eb)
+    }
+}
+
+/// Predicts, quantizes and reconstructs the blocks of up to [`LANES`]
+/// independent SZ streams under one error bound `eb` (`snap_f32`:
+/// reconstructions are snapped to `f32`). Escaped values get [`ESCAPE`],
+/// their position in `escapes` and themselves as history. Dispatches to
+/// AVX2 when more than one lane is given and the CPU has it — every
+/// symbol and escape is identical to [`quantize_lanes_scalar`].
+///
+/// # Panics
+///
+/// When more than [`LANES`] lanes are given, a lane's `symbols` and
+/// `values` differ in length, or an order is outside `1..=3`.
+pub fn quantize_lanes(lanes: &mut [Lane<'_>], eb: f64, snap_f32: bool) {
+    check_lanes(lanes);
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        if lanes.len() > 1 && caps().avx2 {
+            // SAFETY: AVX2 confirmed present by the runtime probe; lane
+            // shapes were checked above.
+            unsafe { quantize_lanes_avx2(lanes, eb, snap_f32) };
+            return;
+        }
+    }
+    let _ = caps();
+    quantize_lanes_scalar(lanes, eb, snap_f32);
+}
+
+fn check_lanes(lanes: &[Lane<'_>]) {
+    assert!(lanes.len() <= LANES, "at most {LANES} lanes");
+    for lane in lanes {
+        assert_eq!(
+            lane.values.len(),
+            lane.symbols.len(),
+            "one symbol per value"
+        );
+        assert!((1..=3).contains(&lane.order), "predictor order 1..=3");
+    }
+}
+
+/// Scalar reference for [`quantize_lanes`]: the lanes one at a time; also
+/// the forced-scalar and single-stream path.
+pub fn quantize_lanes_scalar(lanes: &mut [Lane<'_>], eb: f64, snap_f32: bool) {
+    check_lanes(lanes);
+    for lane in lanes.iter_mut() {
+        let mut start = 0;
+        while lane.history.len() < 3 && start < lane.values.len() {
+            step(lane, start, eb, snap_f32);
+            start += 1;
+        }
+        match (lane.order, snap_f32) {
+            (1, false) => run_scalar::<1, false>(lane, start, eb),
+            (2, false) => run_scalar::<2, false>(lane, start, eb),
+            (_, false) => run_scalar::<3, false>(lane, start, eb),
+            (1, true) => run_scalar::<1, true>(lane, start, eb),
+            (2, true) => run_scalar::<2, true>(lane, start, eb),
+            (_, true) => run_scalar::<3, true>(lane, start, eb),
+        }
+    }
+}
+
+/// One value through the degrading predictor and the scalar quantizer.
+fn step(lane: &mut Lane<'_>, j: usize, eb: f64, snap_f32: bool) {
+    let x = lane.values[j];
+    let pred = predict(lane.order, lane.history);
+    let h = match quantize_one(x, pred, eb, snap_f32) {
+        Some((symbol, recon)) => {
+            lane.symbols[j] = symbol;
+            recon
+        }
+        None => {
+            lane.symbols[j] = ESCAPE;
+            lane.escapes.push(j);
+            x
+        }
+    };
+    lane.history.push(h);
+}
+
+/// The monomorphic scalar loop from `start` on, with the (full) history
+/// in registers.
+#[inline(always)]
+fn run_scalar<const ORDER: usize, const SNAP: bool>(lane: &mut Lane<'_>, start: usize, eb: f64) {
+    let two_eb = 2.0 * eb;
+    let [mut h0, mut h1, mut h2] = lane.history.vals;
+    let values = &lane.values[start..];
+    let symbols = &mut lane.symbols[start..];
+    for (j, (&x, sym)) in values.iter().zip(symbols.iter_mut()).enumerate() {
+        let pred = match ORDER {
+            1 => h0,
+            2 => 2.0 * h0 - h1,
+            _ => 3.0 * h0 - 3.0 * h1 + h2,
+        };
+        let h = match quantize_value::<SNAP>(x, pred, eb, two_eb) {
+            Some((symbol, recon)) => {
+                *sym = symbol;
+                recon
+            }
+            None => {
+                *sym = ESCAPE;
+                lane.escapes.push(start + j);
+                x
+            }
+        };
+        (h2, h1, h0) = (h1, h0, h);
+    }
+    if !values.is_empty() {
+        lane.history.vals = [h0, h1, h2];
+    }
+}
+
+/// AVX2 body of [`quantize_lanes`]: lane `l` of every vector is stream
+/// `l`. Missing lanes (fewer than [`LANES`] streams) mirror lane 0 and
+/// store nothing.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `lanes` must hold 2..=[`LANES`] lanes
+/// that passed `check_lanes`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_lanes_avx2(lanes: &mut [Lane<'_>], eb: f64, snap_f32: bool) {
+    let n = lanes.len();
+    // Short histories (a stream's first values) run the degrading scalar
+    // step, so the vector loop starts with three values in every lane.
+    let warm = lanes.iter().map(|l| 3 - l.history.len()).max().unwrap_or(0);
+    for lane in lanes.iter_mut() {
+        for j in 0..warm.min(lane.values.len()) {
+            step(lane, j, eb, snap_f32);
+        }
+    }
+    let order = lanes[0].order;
+    let mixed = lanes.iter().any(|l| l.order != order);
+    match (mixed, order, snap_f32) {
+        (true, _, false) => lanes_avx2::<0, false>(lanes, n, warm, eb),
+        (false, 1, false) => lanes_avx2::<1, false>(lanes, n, warm, eb),
+        (false, 2, false) => lanes_avx2::<2, false>(lanes, n, warm, eb),
+        (false, _, false) => lanes_avx2::<3, false>(lanes, n, warm, eb),
+        (true, _, true) => lanes_avx2::<0, true>(lanes, n, warm, eb),
+        (false, 1, true) => lanes_avx2::<1, true>(lanes, n, warm, eb),
+        (false, 2, true) => lanes_avx2::<2, true>(lanes, n, warm, eb),
+        (false, _, true) => lanes_avx2::<3, true>(lanes, n, warm, eb),
+    }
+}
+
+/// The vector loop from `start`, monomorphic in the predictor (`ORDER`
+/// 1..=3 shared by every lane, 0 = per-lane blend) and the snap flag.
+///
+/// # Safety
+///
+/// As [`quantize_lanes_avx2`], with `n == lanes.len()`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_avx2<const ORDER: usize, const SNAP: bool>(
+    lanes: &mut [Lane<'_>],
+    n: usize,
+    start: usize,
+    eb: f64,
+) {
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    let lane = |l: usize| &lanes[if l < n { l } else { 0 }];
+    let xs: [*const f64; LANES] = std::array::from_fn(|l| lane(l).values.as_ptr());
+    let lens: [usize; LANES] = std::array::from_fn(|l| lane(l).values.len());
+    let hist: [[f64; 3]; LANES] = std::array::from_fn(|l| lane(l).history.vals);
+    let orders: [usize; LANES] = std::array::from_fn(|l| lane(l).order);
+    let all = |k: usize| _mm256_set_pd(hist[3][k], hist[2][k], hist[1][k], hist[0][k]);
+    let (mut h0, mut h1, mut h2) = (all(0), all(1), all(2));
+    // Lane `l` of the mask is all ones when bit `l` of `bits` is set.
+    let mask = |bits: i32| {
+        let m = |l: i32| -i64::from((bits >> l) & 1);
+        _mm256_castsi256_pd(_mm256_set_epi64x(m(3), m(2), m(1), m(0)))
+    };
+    let with_order = |k: usize| (0..LANES).fold(0, |m, l| m | (i32::from(orders[l] == k) << l));
+    let is_linear = mask(with_order(2));
+    let is_quadratic = mask(with_order(3));
+
+    let two = _mm256_set1_pd(2.0);
+    let three = _mm256_set1_pd(3.0);
+    let ebv = _mm256_set1_pd(eb);
+    let two_ebv = _mm256_set1_pd(2.0 * eb);
+    let half = _mm256_set1_pd(HALF_DOWN);
+    let limit = _mm256_set1_pd(CODE_LIMIT);
+    let bias = _mm256_set1_pd(f64::from(RADIUS));
+    let sign = _mm256_set1_pd(-0.0);
+    let real = (1i32 << n) - 1;
+
+    // All lanes run to the shortest; the rest is the masked tail.
+    let common = (0..n).map(|l| lens[l]).min().unwrap_or(0).max(start);
+    let longest = (0..n).map(|l| lens[l]).max().unwrap_or(0);
+    let mut sym_out = [0i32; LANES];
+    let mut j = start;
+    while j < longest {
+        let tail = j >= common;
+        // SAFETY: every read is at `j < lens[l]`, the length of the slice
+        // `xs[l]` points into: checked per lane in the tail, and
+        // `j < common <= lens[l]` for every lane (missing lanes included)
+        // before it.
+        let load = |l: usize| if j < lens[l] { *xs[l].add(j) } else { 0.0 };
+        let x = if tail {
+            _mm256_set_pd(load(3), load(2), load(1), load(0))
+        } else {
+            _mm256_set_pd(*xs[3].add(j), *xs[2].add(j), *xs[1].add(j), *xs[0].add(j))
+        };
+        let linear = _mm256_sub_pd(_mm256_mul_pd(two, h0), h1);
+        let quadratic = _mm256_add_pd(
+            _mm256_sub_pd(_mm256_mul_pd(three, h0), _mm256_mul_pd(three, h1)),
+            h2,
+        );
+        let pred = match ORDER {
+            1 => h0,
+            2 => linear,
+            3 => quadratic,
+            _ => _mm256_blendv_pd(
+                _mm256_blendv_pd(h0, linear, is_linear),
+                quadratic,
+                is_quadratic,
+            ),
+        };
+        // `q` has the sign of the residual (2eb > 0, or q is NaN/±∞ and
+        // escapes anyway), so the rounding offset is ready before the
+        // divide finishes.
+        let diff = _mm256_sub_pd(x, pred);
+        let q = _mm256_div_pd(diff, two_ebv);
+        let s = _mm256_add_pd(q, _mm256_or_pd(_mm256_and_pd(diff, sign), half));
+        let in_range = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, s), limit);
+        let code = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(s);
+        let mut recon = _mm256_add_pd(pred, _mm256_mul_pd(code, two_ebv));
+        if SNAP {
+            recon = _mm256_cvtps_pd(_mm256_cvtpd_ps(recon));
+        }
+        let err = _mm256_andnot_pd(sign, _mm256_sub_pd(x, recon));
+        let ok = _mm256_and_pd(in_range, _mm256_cmp_pd::<_CMP_LE_OQ>(err, ebv));
+        // Out-of-range codes are masked to ESCAPE before the convert.
+        let symbols = _mm256_and_pd(_mm256_add_pd(code, bias), ok);
+        _mm_storeu_si128(sym_out.as_mut_ptr().cast(), _mm256_cvttpd_epi32(symbols));
+
+        let active = if tail {
+            (0..n).fold(0, |m, l| m | (i32::from(j < lens[l]) << l))
+        } else {
+            real
+        };
+        let escaped = !_mm256_movemask_pd(ok) & active;
+        // Escapes are rare: predicting this branch keeps the escape check
+        // off the chain through the reconstructed values.
+        let mut h = recon;
+        if escaped != 0 {
+            h = _mm256_blendv_pd(x, recon, ok);
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if escaped & (1 << l) != 0 {
+                    lane.escapes.push(j);
+                }
+            }
+        }
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if active & (1 << l) != 0 {
+                lane.symbols[j] = sym_out[l] as u16;
+            }
+        }
+        if tail {
+            let on = mask(active);
+            h2 = _mm256_blendv_pd(h2, h1, on);
+            h1 = _mm256_blendv_pd(h1, h0, on);
+            h0 = _mm256_blendv_pd(h0, h, on);
+        } else {
+            (h2, h1, h0) = (h1, h0, h);
+        }
+        j += 1;
+    }
+
+    let mut out = [[0.0f64; LANES]; 3];
+    _mm256_storeu_pd(out[0].as_mut_ptr(), h0);
+    _mm256_storeu_pd(out[1].as_mut_ptr(), h1);
+    _mm256_storeu_pd(out[2].as_mut_ptr(), h2);
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        lane.history.vals = [out[0][l], out[1][l], out[2][l]];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +711,283 @@ mod tests {
         assert_eq!(out, [-16384.0, -16383.5, -0.5, 0.0, 0.5, 16383.5]);
     }
 
+    /// The historical quantizer step: `f64::round` and the `i64` round
+    /// trip, kept as the reference for [`quantize_one`].
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn quantize_reference(x: f64, pred: f64, eb: f64, snap: bool) -> Option<(u16, f64)> {
+        if eb == 0.0 || !x.is_finite() || !pred.is_finite() {
+            return None;
+        }
+        let code_f = ((x - pred) / (2.0 * eb)).round();
+        if !(code_f.abs() < f64::from(RADIUS - 1)) {
+            return None;
+        }
+        let code = code_f as i64;
+        let mut recon = pred + code as f64 * (2.0 * eb);
+        if snap {
+            recon = recon as f32 as f64;
+        }
+        if !((x - recon).abs() <= eb) {
+            return None;
+        }
+        Some(((code + i64::from(RADIUS)) as u16, recon))
+    }
+
+    fn same_value(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+    }
+
+    #[test]
+    fn half_down_rounding_is_round_half_away() {
+        let mut qs = vec![0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 32766.5, -32766.5];
+        for k in -40i32..40 {
+            let base = f64::from(k) + 0.5;
+            qs.extend([
+                base,
+                f64::from_bits(base.to_bits() + 1),
+                f64::from_bits(base.to_bits() - 1),
+            ]);
+        }
+        qs.extend([
+            0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            4503599627370495.5,
+        ]);
+        for q in qs {
+            let s = q + HALF_DOWN.copysign(q);
+            assert_eq!(s.trunc(), q.round(), "q = {q:e}");
+        }
+    }
+
+    #[test]
+    fn quantize_one_matches_the_historical_step() {
+        let preds = [0.0, -0.0, 1.0, -3.25, 1e8, f64::NAN, f64::INFINITY, 1e308];
+        let xs = [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            -2.5,
+            1.0,
+            1.0004,
+            -3.2501,
+            1e8 + 0.3,
+            65535.0,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1e308,
+            5e-324,
+        ];
+        for eb in [0.0, 5e-324, 1e-12, 1e-3, 0.5, 1.0] {
+            for snap in [false, true] {
+                for &x in &xs {
+                    for &p in &preds {
+                        let got = quantize_one(x, p, eb, snap);
+                        let want = quantize_reference(x, p, eb, snap);
+                        match (got, want) {
+                            (Some((a, ra)), Some((b, rb))) => {
+                                assert_eq!(a, b, "x={x} p={p} eb={eb}");
+                                assert_eq!(ra.to_bits(), rb.to_bits(), "x={x} p={p} eb={eb}");
+                            }
+                            (None, None) => {}
+                            _ => panic!("x={x} p={p} eb={eb} snap={snap}: {got:?} vs {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    type LaneOut = (Vec<u16>, Vec<usize>, History);
+
+    /// Runs `kernel` over one block per stream, each with its own order
+    /// and a history seeded with `seed[l]` values.
+    fn run_lanes(
+        kernel: fn(&mut [Lane<'_>], f64, bool),
+        streams: &[Vec<f64>],
+        orders: &[usize],
+        seed: &[usize],
+        eb: f64,
+        snap: bool,
+    ) -> Vec<LaneOut> {
+        let mut out: Vec<LaneOut> = streams
+            .iter()
+            .zip(seed)
+            .map(|(s, &k)| {
+                let mut h = History::new();
+                for i in 0..k {
+                    h.push(i as f64 * 0.25 - 0.3);
+                }
+                (vec![0xffff; s.len()], Vec::new(), h)
+            })
+            .collect();
+        let mut lanes: Vec<Lane<'_>> = streams
+            .iter()
+            .zip(orders)
+            .zip(out.iter_mut())
+            .map(|((values, &order), (symbols, escapes, history))| Lane {
+                values,
+                order,
+                history,
+                symbols,
+                escapes,
+            })
+            .collect();
+        kernel(&mut lanes, eb, snap);
+        drop(lanes);
+        out
+    }
+
+    fn assert_lanes_agree(
+        streams: &[Vec<f64>],
+        orders: &[usize],
+        seed: &[usize],
+        eb: f64,
+        snap: bool,
+    ) {
+        let simd = run_lanes(quantize_lanes, streams, orders, seed, eb, snap);
+        let scalar = run_lanes(quantize_lanes_scalar, streams, orders, seed, eb, snap);
+        for (l, (a, b)) in simd.iter().zip(&scalar).enumerate() {
+            let ctx = format!(
+                "lane {l} of {} (len {}), eb={eb} snap={snap}",
+                streams.len(),
+                streams[l].len()
+            );
+            assert_eq!(a.0, b.0, "symbols, {ctx}");
+            assert_eq!(a.1, b.1, "escapes, {ctx}");
+            assert_eq!(a.2.len(), b.2.len(), "history length, {ctx}");
+            for (x, y) in a.2.vals.iter().zip(b.2.vals) {
+                assert!(same_value(*x, y), "history {x} vs {y}, {ctx}");
+            }
+        }
+        // One lane at a time is the single-stream path: same output.
+        for (l, want) in scalar.iter().enumerate() {
+            let one = run_lanes(
+                quantize_lanes,
+                &streams[l..=l],
+                &orders[l..=l],
+                &seed[l..=l],
+                eb,
+                snap,
+            );
+            assert_eq!(one[0].0, want.0);
+            assert_eq!(one[0].1, want.1);
+        }
+    }
+
+    fn wavy(len: usize, phase: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i as f64) * 0.013 + phase).sin() * 40.0 + ((i * 7919) % 13) as f64 * 1e-3)
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernel_equals_scalar_across_lengths_orders_and_bounds() {
+        let lens = [0usize, 1, 2, 3, 4, 4095, 4096, 4097, 8193];
+        for n in 1..=LANES {
+            for (k, &len0) in lens.iter().enumerate() {
+                let streams: Vec<Vec<f64>> = (0..n)
+                    .map(|l| {
+                        wavy(
+                            lens[(k + 3 * l) % lens.len()].max(len0 * (l == 0) as usize),
+                            l as f64,
+                        )
+                    })
+                    .collect();
+                let orders: Vec<usize> = (0..n).map(|l| 1 + (k + l) % 3).collect();
+                let seed: Vec<usize> = (0..n)
+                    .map(|l| if k % 2 == 0 { 0 } else { (k + l) % 4 })
+                    .collect();
+                for eb in [0.0, 1e-3, 0.05] {
+                    assert_lanes_agree(&streams, &orders, &seed, eb, false);
+                }
+                let f32s: Vec<Vec<f64>> = streams
+                    .iter()
+                    .map(|s| s.iter().map(|&v| f64::from(v as f32)).collect())
+                    .collect();
+                assert_lanes_agree(&f32s, &orders, &seed, 1e-4, true);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_rounds_half_away_at_the_boundaries() {
+        // With 2eb = 1 and last-value prediction from a zero history, q is
+        // the value itself: the largest double below ½ must give code 0
+        // (`q + 0.5` would round up to 1 and then escape), ±½ and ±2.5
+        // round away from zero.
+        let eb = 0.5;
+        let below_half = 0.499_999_999_999_999_94;
+        for v in [below_half, -below_half, 0.5, -0.5, 2.5, -2.5] {
+            let stream = vec![0.0, 0.0, 0.0, 0.0, v];
+            let streams = vec![stream.clone(), stream.clone(), stream];
+            let out = run_lanes(quantize_lanes, &streams, &[1, 1, 1], &[0, 0, 0], eb, false);
+            let want = RADIUS as f64 + v.round();
+            assert_eq!(out[0].0[4], want as u16, "v = {v}");
+            assert_lanes_agree(&streams, &[1, 1, 1], &[0, 0, 0], eb, false);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_handles_specials_and_out_of_range_residuals() {
+        let mut a = wavy(300, 0.0);
+        let mut b = wavy(257, 1.0);
+        let mut c = wavy(300, 2.0);
+        for (i, v) in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e308,
+            -1e308,
+            5e-324,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            a[3 + 17 * i] = v;
+            b[5 + 13 * i] = v;
+            c[40 + i] = v;
+        }
+        // Jumps far beyond RADIUS codes at this bound.
+        for i in (100..300).step_by(9) {
+            a[i] += 1e4;
+            c[i] -= 3e3;
+        }
+        let zeros: Vec<f64> = (0..64)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        let streams = vec![a, b, c, zeros];
+        for orders in [[1, 1, 1, 1], [3, 3, 3, 3], [1, 2, 3, 2]] {
+            for eb in [0.0, 1e-2] {
+                assert_lanes_agree(&streams, &orders, &[0, 0, 0, 0], eb, false);
+                assert_lanes_agree(&streams, &orders, &[3, 3, 3, 3], eb, false);
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn lane_kernel_equivalence_on_random_lanes(
+            raw in prop::collection::vec(prop::collection::vec(-1e3f64..1e3, 0..600), 1..=4),
+            orders in prop::collection::vec(1usize..=3, 4),
+            seed in prop::collection::vec(0usize..=3, 4),
+            eb in prop_oneof![Just(0.0), 1e-6f64..1.0],
+            snap in any::<bool>(),
+        ) {
+            let n = raw.len();
+            let streams: Vec<Vec<f64>> = raw
+                .iter()
+                .map(|s| if snap { s.iter().map(|&v| f64::from(v as f32)).collect() } else { s.clone() })
+                .collect();
+            let simd = run_lanes(quantize_lanes, &streams, &orders[..n], &seed[..n], eb, snap);
+            let scalar = run_lanes(quantize_lanes_scalar, &streams, &orders[..n], &seed[..n], eb, snap);
+            for (a, b) in simd.iter().zip(&scalar) {
+                prop_assert_eq!(&a.0, &b.0);
+                prop_assert_eq!(&a.1, &b.1);
+            }
+        }
+
         #[test]
         fn trial_costs_equivalence_on_random_streams(
             vals in prop::collection::vec(-1e9f64..1e9, 0..200),

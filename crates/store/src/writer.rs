@@ -1,26 +1,31 @@
 //! The store writer: reorder → chunk → compress → indexed container.
 //!
-//! The encode fans out over **fields × chunks**: every (field, chunk)
-//! pair is one independent compression job, so a write scales with cores
-//! even for a single field (the in-situ setting the paper's overhead
-//! experiments assume). The payload layout is deterministic — field-major,
-//! chunks in stream order — regardless of how many threads ran the jobs,
-//! so outputs are byte-identical at any parallelism.
+//! The encode fans out over **fields × runs of chunks**: a job is a run of
+//! up to four consecutive chunks of one field, handed to
+//! [`Codec::compress_chunks`] in one call. Every chunk is still its own
+//! independently decodable stream; the run only lets the SZ codec advance
+//! its chunks together, one per SIMD lane. Jobs are independent, so a
+//! write scales with cores even for a single field (the in-situ setting
+//! the paper's overhead experiments assume). The payload layout is
+//! deterministic — field-major, chunks in stream order — regardless of
+//! how many threads ran the jobs or how chunks were grouped into runs, so
+//! outputs are byte-identical at any parallelism.
 //!
-//! Two paths share that job list:
+//! Two paths share that job shape:
 //!
 //! - [`StoreWriter::write`] — the buffered path: every compressed chunk is
 //!   collected and the whole container assembled in one `Vec<u8>`;
 //! - [`StoreWriter::write_to_sink`] — the streaming path: chunks flow
 //!   through a fixed-size compress→write **window** into a [`ByteSink`].
 //!   Encoder threads compress ahead (admission bounded by
-//!   [`StreamOptions::window_bytes`] of raw input) while the caller's
-//!   thread writes finished chunks to the sink *in layout order*, so the
-//!   output is byte-identical to the buffered path at any window size or
-//!   thread count — but peak encode-buffer memory is O(window), not
-//!   O(container). Parity accumulates incrementally (XOR folds, GF(2⁸)
-//!   fused multiply-adds) as members stream past, so no data chunk is
-//!   retained after it is written.
+//!   [`StreamOptions::window_bytes`] of raw input; a run is shortened
+//!   until its raw bytes fit the window, down to one chunk) while the
+//!   caller's thread writes finished chunks to the sink *in layout
+//!   order*, so the output is byte-identical to the buffered path at any
+//!   window size or thread count — but peak encode-buffer memory is
+//!   O(window), not O(container). Parity accumulates incrementally (XOR
+//!   folds, GF(2⁸) fused multiply-adds) as members stream past, so no
+//!   data chunk is retained after it is written.
 
 use crate::cache::RecipeCache;
 use crate::chunk::{plan_chunks, ChunkPlan, DEFAULT_CHUNK_TARGET_BYTES};
@@ -37,7 +42,7 @@ use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
 use zmesh::{codec_for, crc32, CompressionConfig, GroupingMode, Pipeline, ZmeshError};
 use zmesh_amr::AmrField;
-use zmesh_codecs::{CodecError, CodecParams, ErrorControl, ValueType};
+use zmesh_codecs::{Codec, CodecError, CodecParams, ErrorControl, ValueType};
 
 /// Wall-time and size accounting for one store write.
 ///
@@ -56,11 +61,11 @@ pub struct StoreWriteStats {
     pub reorder_ns: u64,
     /// CPU nanoseconds of the reorder phase, summed over per-field jobs.
     pub reorder_cpu_ns: u64,
-    /// Wall nanoseconds of the encode phase (fields × chunks jobs; for the
-    /// streaming path this is the overlapped compress+write phase).
+    /// Wall nanoseconds of the encode phase (fields × chunk-run jobs; for
+    /// the streaming path this is the overlapped compress+write phase).
     pub encode_ns: u64,
     /// CPU nanoseconds of the encode phase, summed over every
-    /// (field, chunk) compression job.
+    /// compression job (a run of chunks of one field).
     pub encode_cpu_ns: u64,
     /// Worker threads available to the encode fan-out.
     pub encode_threads: usize,
@@ -186,8 +191,10 @@ impl Default for StoreWriteOptions {
 pub struct StreamOptions {
     /// Ceiling on raw (uncompressed) chunk bytes admitted into the
     /// compress→write window at once — the encode-buffer memory bound.
-    /// `0` disables the bound (every job may be in flight at once). A
-    /// window smaller than one chunk degrades gracefully to one job at a
+    /// `0` disables the bound (every job may be in flight at once). A job
+    /// (a run of up to four chunks) is shortened until its raw bytes fit
+    /// the window, so the bound holds per job as well. A window smaller
+    /// than one chunk degrades gracefully to one single-chunk job at a
     /// time; it never deadlocks.
     pub window_bytes: usize,
     /// Retry policy for transient sink-write failures (`EINTR`, `EAGAIN`,
@@ -306,7 +313,7 @@ impl StoreWriter {
     /// Shared preamble of both write paths: validate inputs, obtain the
     /// recipe (build or cache hit), plan chunks, reorder every field in
     /// parallel, and serialize the header. Everything downstream of this
-    /// is pure per-(field, chunk) compression plus layout.
+    /// is pure per-field, per-chunk compression plus layout.
     fn prepare(&self, fields: &[(&str, &AmrField)]) -> Result<Prepared, StoreError> {
         self.options.parity.validate()?;
         let (_, first) = fields
@@ -394,31 +401,29 @@ impl StoreWriter {
         let prep = self.prepare(fields)?;
         let codec = codec_for(self.config.codec);
 
-        // Compress, one parallel job per (field, chunk). A flat job list
-        // (instead of nesting per-chunk parallelism inside a per-field
-        // loop) keeps the pool saturated even when field and chunk counts
-        // are individually smaller than the core count.
+        // Compress, one parallel job per run of up to RUN_CHUNKS
+        // consecutive chunks of one field (the codec encodes a run's
+        // chunks together). A flat job list (instead of nesting per-chunk
+        // parallelism inside a per-field loop) keeps the pool saturated
+        // even when field and run counts are individually smaller than the
+        // core count.
         let n_chunks = prep.plan.metas.len();
         let jobs: Vec<(usize, usize)> = (0..fields.len())
-            .flat_map(|f| (0..n_chunks).map(move |c| (f, c)))
+            .flat_map(|f| (0..n_chunks).step_by(RUN_CHUNKS).map(move |c| (f, c)))
             .collect();
         let t2 = Instant::now();
-        let compressed: Vec<(Vec<u8>, u32, u64)> = jobs
+        let runs: Vec<EncodedRun> = jobs
             .par_iter()
             .map(|&(f, c)| {
                 let t = Instant::now();
-                let (stream, bound, _) = &prep.reordered[f];
-                let mut params = prep.params;
-                if let Some(bound) = bound {
-                    params.control = ErrorControl::Absolute(*bound);
-                }
-                let bytes = codec.compress(&stream[prep.plan.stream_range(c)], &params)?;
-                let crc = crc32(&bytes);
-                Ok((bytes, crc, t.elapsed().as_nanos() as u64))
+                let chunks = encode_run(&*codec, &prep, f, c..(c + RUN_CHUNKS).min(n_chunks))?;
+                Ok((chunks, t.elapsed().as_nanos() as u64))
             })
             .collect::<Result<_, CodecError>>()?;
         let encode_ns = t2.elapsed().as_nanos() as u64;
-        let encode_cpu_ns = compressed.iter().map(|(_, _, ns)| ns).sum();
+        let encode_cpu_ns = runs.iter().map(|(_, ns)| ns).sum();
+        let compressed: Vec<(Vec<u8>, u32)> =
+            runs.into_iter().flat_map(|(chunks, _)| chunks).collect();
 
         // The index is only honest if every planned chunk produced exactly
         // one payload. A mismatch is a bug in this library — fail hard
@@ -436,7 +441,7 @@ impl StoreWriter {
         for (f, (name, _)) in fields.iter().enumerate() {
             let mut chunks = Vec::with_capacity(n_chunks);
             for (c, meta) in prep.plan.metas.iter().enumerate() {
-                let (bytes, crc, _) = &compressed[f * n_chunks + c];
+                let (bytes, crc) = &compressed[f * n_chunks + c];
                 let mut meta = *meta;
                 meta.offset = payload.len() as u64;
                 meta.len = bytes.len() as u64;
@@ -530,19 +535,52 @@ impl StoreWriter {
 }
 
 /// Admission state of the streaming window: encoder threads take the next
-/// job in layout order only when its raw bytes fit the window (or nothing
-/// is in flight — the progress guarantee for chunks larger than the whole
-/// window).
+/// run of chunks in layout order only when its raw bytes fit the window
+/// (or nothing is in flight — the progress guarantee for chunks larger
+/// than the whole window).
 struct WindowState {
-    next_job: usize,
+    next_chunk: usize,
     inflight_jobs: usize,
     inflight_bytes: usize,
     abort: bool,
 }
 
-/// Raw (uncompressed) bytes of chunk `c` — the admission cost of its job.
-fn chunk_cost(plan: &ChunkPlan, c: usize) -> usize {
-    plan.stream_range(c).len() * 8
+/// Consecutive chunks of one field a write job encodes together: the SZ
+/// codec advances that many independent chunk streams in one pass.
+const RUN_CHUNKS: usize = zmesh_codecs::sz::LANES;
+
+/// A finished job: its chunks' compressed bytes with their CRCs, in
+/// order, and the job's encode nanoseconds.
+type EncodedRun = (Vec<(Vec<u8>, u32)>, u64);
+
+/// Raw (uncompressed) bytes of chunks `run` — the admission cost of a job.
+fn run_cost(plan: &ChunkPlan, run: std::ops::Range<usize>) -> usize {
+    run.map(|c| plan.stream_range(c).len() * 8).sum()
+}
+
+/// One write job: chunks `run` of field `f`, compressed together under
+/// the field's resolved bound, each with its CRC.
+fn encode_run(
+    codec: &(dyn Codec + Send + Sync),
+    prep: &Prepared,
+    f: usize,
+    run: std::ops::Range<usize>,
+) -> Result<Vec<(Vec<u8>, u32)>, CodecError> {
+    let (stream, bound, _) = &prep.reordered[f];
+    let mut params = prep.params;
+    if let Some(bound) = bound {
+        params.control = ErrorControl::Absolute(*bound);
+    }
+    let values = prep.plan.stream_range(run.start).start..prep.plan.stream_range(run.end - 1).end;
+    let out = codec.compress_chunks(&stream[values], &params, prep.plan.chunk_values)?;
+    Ok(out
+        .payloads
+        .into_iter()
+        .map(|bytes| {
+            let crc = crc32(&bytes);
+            (bytes, crc)
+        })
+        .collect())
 }
 
 /// One `write_all` under the retry policy: transient sink failures back
@@ -627,10 +665,11 @@ fn accumulate_parity(
 
 impl StoreWriter {
     /// Streams `fields` into `sink` through a bounded compress→write
-    /// window: encoder threads compress (field, chunk) jobs ahead of the
-    /// writer while this thread appends finished chunks in layout order,
-    /// then the parity section, footer, trailer, and commit record, and
-    /// finally calls [`ByteSink::commit`]. The emitted bytes are
+    /// window: encoder threads compress jobs (runs of up to four chunks of
+    /// one field, each shortened until its raw bytes fit the window) ahead
+    /// of the writer while this thread appends finished chunks in layout
+    /// order, then the parity section, footer, trailer, and commit record,
+    /// and finally calls [`ByteSink::commit`]. The emitted bytes are
     /// **byte-identical** to [`StoreWriter::write`] at any window size and
     /// thread count; peak encode-buffer memory is bounded by
     /// [`StreamOptions::window_bytes`] (with parity enabled, the
@@ -652,7 +691,7 @@ impl StoreWriter {
         let codec = &*codec;
         let n_chunks = prep.plan.metas.len();
         let n_fields = fields.len();
-        let total_jobs = n_fields * n_chunks;
+        let total_chunks = n_fields * n_chunks;
         let window = opts.window_bytes;
         let policy = opts.retry;
         let mut rstats = RetryStats::default();
@@ -671,9 +710,9 @@ impl StoreWriter {
 
         sink_write(sink, &prep.header_bytes, &policy, &mut rstats)?;
 
-        let n_workers = rayon::current_num_threads().clamp(1, total_jobs.max(1));
+        let n_workers = rayon::current_num_threads().clamp(1, total_chunks.max(1));
         let state = Mutex::new(WindowState {
-            next_job: 0,
+            next_chunk: 0,
             inflight_jobs: 0,
             inflight_bytes: 0,
             abort: false,
@@ -690,7 +729,7 @@ impl StoreWriter {
         let mut parity_done: Vec<(usize, Vec<u8>)> = Vec::new();
 
         let t2 = Instant::now();
-        type JobResult = Result<(Vec<u8>, u32, u64), CodecError>;
+        type JobResult = Result<EncodedRun, CodecError>;
         let (tx, rx) = mpsc::channel::<(usize, JobResult)>();
         let data_phase: Result<(), StoreError> = std::thread::scope(|scope| {
             for _ in 0..n_workers {
@@ -699,47 +738,49 @@ impl StoreWriter {
                 let (resident, peak) = (&resident, &peak);
                 let prep = &prep;
                 scope.spawn(move || loop {
-                    // Admission: take the next job in layout order once its
-                    // raw bytes fit the window. `inflight_jobs == 0` is the
-                    // progress guarantee for oversized chunks.
-                    let job = {
+                    // Admission: take the next run in layout order — up to
+                    // RUN_CHUNKS chunks of one field, shortened until its
+                    // raw bytes fit the window (at least one chunk) — once
+                    // it fits beside what is in flight. `inflight_jobs == 0`
+                    // is the progress guarantee for oversized chunks.
+                    let (first, run) = {
                         let mut st = state.lock().expect("window state poisoned");
                         loop {
-                            if st.abort || st.next_job >= total_jobs {
+                            if st.abort || st.next_chunk >= total_chunks {
                                 return;
                             }
-                            let cost = chunk_cost(&prep.plan, st.next_job % n_chunks);
+                            let first = st.next_chunk;
+                            let c = first % n_chunks;
+                            let mut run = c..(c + RUN_CHUNKS).min(n_chunks);
+                            while window > 0
+                                && run.len() > 1
+                                && run_cost(&prep.plan, run.clone()) > window
+                            {
+                                run.end -= 1;
+                            }
+                            let cost = run_cost(&prep.plan, run.clone());
                             if st.inflight_jobs == 0
                                 || window == 0
                                 || st.inflight_bytes + cost <= window
                             {
-                                let j = st.next_job;
-                                st.next_job += 1;
+                                st.next_chunk += run.len();
                                 st.inflight_jobs += 1;
                                 st.inflight_bytes += cost;
-                                break j;
+                                break (first, run);
                             }
                             st = admit.wait(st).expect("window state poisoned");
                         }
                     };
-                    let (f, c) = (job / n_chunks, job % n_chunks);
                     let t = Instant::now();
-                    let (stream, bound, _) = &prep.reordered[f];
-                    let mut params = prep.params;
-                    if let Some(bound) = bound {
-                        params.control = ErrorControl::Absolute(*bound);
-                    }
-                    let result: JobResult = codec
-                        .compress(&stream[prep.plan.stream_range(c)], &params)
-                        .map(|bytes| {
-                            let now =
-                                resident.fetch_add(bytes.len(), Ordering::Relaxed) + bytes.len();
+                    let result: JobResult =
+                        encode_run(codec, prep, first / n_chunks, run).map(|chunks| {
+                            let bytes: usize = chunks.iter().map(|(b, _)| b.len()).sum();
+                            let now = resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
                             peak.fetch_max(now, Ordering::Relaxed);
-                            let crc = crc32(&bytes);
-                            (bytes, crc, t.elapsed().as_nanos() as u64)
+                            (chunks, t.elapsed().as_nanos() as u64)
                         });
                     let failed = result.is_err();
-                    let _ = tx.send((job, result));
+                    let _ = tx.send((first, result));
                     if failed {
                         return;
                     }
@@ -748,43 +789,46 @@ impl StoreWriter {
             drop(tx);
 
             // Consumer (this thread): reorder out-of-order completions and
-            // write strictly in layout order, releasing window budget as
-            // each chunk lands in the sink.
+            // write strictly in layout order, chunk by chunk, releasing a
+            // run's window budget once its last chunk lands in the sink.
             let mut consume = || -> Result<(), StoreError> {
-                let mut pending: BTreeMap<usize, (Vec<u8>, u32, u64)> = BTreeMap::new();
+                let mut pending: BTreeMap<usize, EncodedRun> = BTreeMap::new();
                 let mut next_write = 0usize;
-                while next_write < total_jobs {
+                while next_write < total_chunks {
                     let (idx, result) = rx.recv().map_err(|_| {
                         StoreError::Internal("encode pipeline ended before the last chunk")
                     })?;
                     pending.insert(idx, result?);
-                    while let Some((bytes, crc, ns)) = pending.remove(&next_write) {
+                    while let Some((chunks, ns)) = pending.remove(&next_write) {
                         encode_cpu_ns += ns;
-                        sink_write(sink, &bytes, &policy, &mut rstats)?;
-                        let (f, c) = (next_write / n_chunks, next_write % n_chunks);
-                        let mut meta = prep.plan.metas[c];
-                        meta.offset = payload_pos;
-                        meta.len = bytes.len() as u64;
-                        meta.crc = crc;
-                        entries[f].chunks.push(meta);
-                        payload_pos += bytes.len() as u64;
-                        accumulate_parity(
-                            self.options.parity,
-                            n_chunks,
-                            f,
-                            c,
-                            &bytes,
-                            &mut group_acc,
-                            &mut parity_done,
-                        )?;
-                        resident.fetch_sub(bytes.len(), Ordering::Relaxed);
+                        let f = next_write / n_chunks;
+                        let first = next_write % n_chunks;
+                        for (c, (bytes, crc)) in (first..).zip(&chunks) {
+                            sink_write(sink, bytes, &policy, &mut rstats)?;
+                            let mut meta = prep.plan.metas[c];
+                            meta.offset = payload_pos;
+                            meta.len = bytes.len() as u64;
+                            meta.crc = *crc;
+                            entries[f].chunks.push(meta);
+                            payload_pos += bytes.len() as u64;
+                            accumulate_parity(
+                                self.options.parity,
+                                n_chunks,
+                                f,
+                                c,
+                                bytes,
+                                &mut group_acc,
+                                &mut parity_done,
+                            )?;
+                            resident.fetch_sub(bytes.len(), Ordering::Relaxed);
+                        }
+                        next_write += chunks.len();
                         {
                             let mut st = state.lock().expect("window state poisoned");
                             st.inflight_jobs -= 1;
-                            st.inflight_bytes -= chunk_cost(&prep.plan, c);
+                            st.inflight_bytes -= run_cost(&prep.plan, first..first + chunks.len());
                         }
                         admit.notify_all();
-                        next_write += 1;
                     }
                 }
                 Ok(())

@@ -33,9 +33,10 @@ step cargo test -q --release --workspace
 # Forced-scalar dispatch leg: the same suites with every SIMD kernel
 # pinned to its portable fallback (ZMESH_FORCE_SCALAR=1), in both
 # profiles — proves no behavior anywhere depends on which tier the
-# runtime probe picked.
-step env ZMESH_FORCE_SCALAR=1 cargo test -q -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store
-step env ZMESH_FORCE_SCALAR=1 cargo test -q --release -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store
+# runtime probe picked. The root suite (zmesh-suite) brings the golden
+# store CRCs and the streaming ≡ buffered writer tests onto this tier.
+step env ZMESH_FORCE_SCALAR=1 cargo test -q -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store -p zmesh-suite
+step env ZMESH_FORCE_SCALAR=1 cargo test -q --release -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store -p zmesh-suite
 
 # Repo benchmark smoke at Tiny scale: every workload's output checks
 # (cold-read's exact cell selection depends on the restore recipe's

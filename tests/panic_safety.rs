@@ -345,4 +345,54 @@ fn hostile_entropy_and_sz_headers_are_typed_errors() {
         matches!(got, Ok(Err(CodecError::Corrupt("f64 past end")))),
         "{got:?}"
     );
+
+    // Stored dims 2^32 × 2^32 × 1 over zero values: the product overflows
+    // (a debug panic; in release it wraps to 0, passes the length check
+    // and indexes out of bounds in the Lorenzo decoder).
+    let mut sz = b"SZR1".to_vec();
+    varint(&mut sz, 0);
+    sz.extend_from_slice(&1e-3f64.to_le_bytes());
+    for v in [1 << 32, 1 << 32, 1, 4096] {
+        varint(&mut sz, v);
+    }
+    sz.extend_from_slice(&[0, 0, 0]);
+    varint(&mut sz, 0);
+    let got = std::panic::catch_unwind(|| SzCodec::new().decompress(&sz));
+    assert!(
+        matches!(
+            got,
+            Ok(Err(CodecError::Corrupt("stored dims mismatch length")))
+        ),
+        "{got:?}"
+    );
+}
+
+/// SZ streams through the RLE (tag 1) and LZSS (tag 2) back ends whose
+/// body declares 2^40 decompressed bytes: the claim must not size an
+/// allocation (it aborted the process), only fail the decode.
+#[test]
+fn hostile_lossless_lengths_are_typed_errors() {
+    use zmesh_codecs::lossless::Backend;
+    use zmesh_codecs::{Codec, CodecError, SzCodec};
+    for backend in [Backend::Rle, Backend::Lzss] {
+        let mut sz = b"SZR1".to_vec();
+        varint(&mut sz, 8);
+        sz.extend_from_slice(&1e-3f64.to_le_bytes());
+        for v in [0, 0, 0, 4096] {
+            varint(&mut sz, v);
+        }
+        sz.extend_from_slice(&[backend.tag(), 0, 0]);
+        varint(&mut sz, 1 << 40);
+        sz.extend_from_slice(&[0x7f, 0xff, 0x00, 0x81, 0x42, 0x13]);
+        let got = std::panic::catch_unwind(|| SzCodec::new().decompress(&sz));
+        assert!(
+            matches!(got, Ok(Err(CodecError::Corrupt(_)))),
+            "{backend:?}: {got:?}"
+        );
+        let got = std::panic::catch_unwind(|| backend.decompress(&sz[sz.len() - 12..]));
+        assert!(
+            matches!(got, Ok(Err(CodecError::Corrupt(_)))),
+            "{backend:?}: {got:?}"
+        );
+    }
 }
