@@ -102,7 +102,17 @@ pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset, AmrError> {
         r.read_exact(&mut fname)?;
         let fname =
             String::from_utf8(fname).map_err(|_| AmrError::Corrupt("field name not utf-8"))?;
-        let n_vals = read_u64(&mut r)? as usize;
+        // The tree fixes every field's length; an untrusted count must
+        // match it before it sizes an allocation.
+        let n_vals = match mode {
+            StorageMode::LeafOnly => tree.leaf_count(),
+            StorageMode::AllCells => tree.cell_count(),
+        };
+        if read_u64(&mut r)? != n_vals as u64 {
+            return Err(AmrError::Corrupt(
+                "field value count disagrees with the tree",
+            ));
+        }
         let mut values = Vec::with_capacity(n_vals);
         let mut buf = [0u8; 8];
         for _ in 0..n_vals {

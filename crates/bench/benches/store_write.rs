@@ -1,13 +1,14 @@
-//! Criterion bench: buffered (whole-container-in-memory) vs streaming
-//! (bounded compress→write window) store writes, plus the memory story
-//! the numbers alone don't tell — peak encode-buffer bytes under each
-//! window and the process peak RSS (`VmHWM`).
+//! Criterion bench: store writes through the compress→write window at
+//! several window sizes, plus the memory story the numbers alone don't
+//! tell — peak encode-buffer bytes under each window and the process peak
+//! RSS (`VmHWM`).
 //!
-//! The buffered rows measure `StoreWriter::write` (assemble in RAM) and
-//! `write` + `persist_store` (the historical pack path). The streaming
-//! rows drive `write_to_sink` into a `VecSink` at several window sizes
-//! and `write_streaming_to_path` for the end-to-end file path, so the
-//! comparison isolates pipeline overhead from disk I/O.
+//! The streaming rows drive `write_to_sink` into a `VecSink` (the
+//! unbounded row is exactly `StoreWriter::write`) and
+//! `write_streaming_to_path` for the end-to-end file path. The buffered
+//! row is `write_to_path`: the whole container in RAM, then
+//! `persist_store`. Together they separate pipeline overhead from disk
+//! I/O.
 //!
 //! Run with `CRITERION_JSON=BENCH_store_write.json` to emit the
 //! machine-readable medians next to the human-readable table.
@@ -50,10 +51,6 @@ fn bench_store_write(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("store_write");
     g.throughput(Throughput::Bytes(container_bytes));
-
-    g.bench_function("buffered/in_memory", |b| {
-        b.iter(|| writer.write(black_box(&fields)).unwrap())
-    });
 
     let path = std::env::temp_dir().join(format!(
         "zmesh_bench_store_write_{}.zms",
@@ -115,9 +112,8 @@ fn bench_store_write(c: &mut Criterion) {
         );
     }
     eprintln!(
-        "store_write: buffered peak buffer {} bytes; process peak RSS {} bytes (VmHWM)",
-        probe.stats.peak_buffer_bytes,
-        process_peak_rss(),
+        "store_write: process peak RSS {} bytes (VmHWM)",
+        process_peak_rss()
     );
 
     let _ = std::fs::remove_file(&path);

@@ -2,8 +2,8 @@
 //!
 //! One module per reconstructed paper artifact (see DESIGN.md §5 and
 //! `EXPERIMENTS.md`). Each experiment is a library function that prints its
-//! table/series rows to stdout; the `repro_*` binaries in `src/bin` are thin
-//! wrappers, and `repro_all` runs the entire evaluation.
+//! table/series rows to stdout; the `repro <id>` binary in `src/bin` runs
+//! one of them by id, and `repro all` runs the entire evaluation.
 //!
 //! Run with `--scale small` (or `ZMESH_SCALE=small`) to get a fast pass on
 //! reduced datasets; the default `standard` scale matches EXPERIMENTS.md.
@@ -33,7 +33,7 @@ pub fn scale_from_args() -> Scale {
 }
 
 /// The evaluation datasets (chained/plotfile storage, as in the paper).
-/// Built once per scale and cached — `repro_all` runs a dozen experiments
+/// Built once per scale and cached — `repro all` runs a dozen experiments
 /// over the same data, and the solver-backed presets are not free.
 pub fn eval_datasets(scale: Scale) -> Arc<Vec<Dataset>> {
     static CACHE: OnceLock<Mutex<HashMap<u8, Arc<Vec<Dataset>>>>> = OnceLock::new();

@@ -255,22 +255,21 @@ pub fn extract(argv: &[String]) -> Result<(), CliError> {
 }
 
 /// `zmesh pack <in.zmd> -o <out.zms> [--policy] [--codec] [--rel-eb|--abs-eb]
-/// [--chunk-kb N] [--parity none|xor[:W]|rs:K,M] [--stream]
-/// [--window-bytes N] [--fault-sink SPEC]` — write a chunked,
-/// indexed store (v3 with XOR parity by default; `--parity none` writes a
-/// plain v2, `--parity rs:K,M` a v4 with `M` Reed–Solomon shards per group
-/// of `K` chunks). The output lands via an atomic temp-file + rename, so a
-/// crash mid-pack never leaves a half-written store at the target path.
+/// [--chunk-kb N] [--parity none|xor[:W]|rs:K,M] [--window-bytes N]
+/// [--fault-sink SPEC]` — write a chunked, indexed store (v3 with XOR
+/// parity by default; `--parity none` writes a plain v2, `--parity rs:K,M`
+/// a v4 with `M` Reed–Solomon shards per group of `K` chunks). Chunks
+/// stream through a bounded compress→write window into a temp file that
+/// an atomic rename publishes, so a crash mid-pack never leaves a
+/// half-written store at the target path. `--window-bytes` bounds the
+/// window (default 8 MiB of raw chunk bytes, 0 = unbounded); the output
+/// bytes do not depend on it.
 ///
-/// `--stream` packs through the bounded compress→write window instead of
-/// assembling the container in memory — byte-identical output, O(window)
-/// peak encode memory (`--window-bytes`, default 8 MiB, 0 = unbounded;
-/// either flag implies `--stream`). `--fault-sink` (testing builds only)
-/// injects deterministic write faults into the streaming sink for
-/// crash-consistency drills; a `crash_at=` plan leaves its torn `.tmp`
-/// behind on purpose, the way a real kill would.
+/// `--fault-sink` (testing builds only) injects deterministic write
+/// faults into the sink for crash-consistency drills; a `crash_at=` plan
+/// leaves its torn `.tmp` behind on purpose, the way a real kill would.
 pub fn pack(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse_with_switches(argv, &["stream"]).map_err(CliError::Usage)?;
+    let args = Args::parse(argv).map_err(CliError::Usage)?;
     let input = positional(&args, 0, "input dataset (.zmd)")?;
     let out = required(&args, "output")?;
     let ds = load_dataset(input)?;
@@ -292,20 +291,14 @@ pub fn pack(argv: &[String]) -> Result<(), CliError> {
                 .map_err(|_| CliError::Usage(format!("--window-bytes {w:?} is not a byte count")))
         })
         .transpose()?;
-    let stream = args.switch("stream") || window.is_some() || args.option("fault-sink").is_some();
-    let s = if stream {
-        let opts = StreamOptions {
-            window_bytes: window.unwrap_or_else(|| StreamOptions::default().window_bytes),
-            ..StreamOptions::default()
-        };
-        pack_streaming(&args, &ds, out, &writer, &opts)?
-    } else {
-        writer
-            .write_to_path(&field_refs(&ds), std::path::Path::new(out))?
-            .stats
+    let opts = StreamOptions {
+        window_bytes: window.unwrap_or_else(|| StreamOptions::default().window_bytes),
+        ..StreamOptions::default()
     };
+    let s = pack_to_path(&args, &ds, out, &writer, &opts)?;
     println!(
-        "wrote {out}: {} -> {} bytes (ratio {:.2}) | {} fields x {} chunks, {} parity bytes ({} groups), {} index bytes{}",
+        "wrote {out}: {} -> {} bytes (ratio {:.2}) | {} fields x {} chunks, {} parity bytes ({} groups), {} index bytes \
+         | streamed (window {} bytes, peak buffer {} bytes)",
         s.raw_bytes,
         s.container_bytes,
         s.ratio(),
@@ -314,25 +307,19 @@ pub fn pack(argv: &[String]) -> Result<(), CliError> {
         s.parity_bytes,
         s.parity_groups,
         s.metadata_bytes,
-        if s.streamed {
-            format!(
-                " | streamed (window {} bytes, peak buffer {} bytes)",
-                s.window_bytes, s.peak_buffer_bytes
-            )
-        } else {
-            String::new()
-        },
+        s.window_bytes,
+        s.peak_buffer_bytes,
     );
     Ok(())
 }
 
-/// The streaming leg of `pack`, honoring `--fault-sink <spec>` in testing
+/// The write leg of `pack`, honoring `--fault-sink <spec>` in testing
 /// builds: the plan wraps the file sink in a deterministic write-fault
 /// injector (see `zmesh_store::faultinject::FaultSpec::parse` for the
 /// grammar). Release builds reject the flag instead of silently packing
 /// clean.
 #[cfg(unix)]
-fn pack_streaming(
+fn pack_to_path(
     args: &Args,
     ds: &Dataset,
     out: &str,
@@ -368,16 +355,21 @@ fn pack_streaming(
 }
 
 #[cfg(not(unix))]
-fn pack_streaming(
-    _args: &Args,
-    _ds: &Dataset,
-    _out: &str,
-    _writer: &StoreWriter,
+fn pack_to_path(
+    args: &Args,
+    ds: &Dataset,
+    out: &str,
+    writer: &StoreWriter,
     _opts: &StreamOptions,
 ) -> Result<StoreWriteStats, CliError> {
-    Err(CliError::Usage(
-        "--stream packing needs the unix file sink".into(),
-    ))
+    if args.option("fault-sink").is_some() {
+        return Err(CliError::Usage(
+            "--fault-sink needs the unix file sink".into(),
+        ));
+    }
+    Ok(writer
+        .write_to_path(&field_refs(ds), std::path::Path::new(out))?
+        .stats)
 }
 
 /// Prints a per-field summary of what a salvage read repaired or lost.

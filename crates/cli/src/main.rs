@@ -7,7 +7,7 @@
 //! zmesh decompress data.zmc -o restored.zmd
 //! zmesh extract data.zmc --field <name> -o field.zmd
 //! zmesh pack data.zmd -o data.zms [compress flags] [--chunk-kb 64] [--parity none|xor[:W]|rs:K,M]
-//!                                 [--stream] [--window-bytes N]
+//!                                 [--window-bytes N]
 //! zmesh unpack data.zms -o restored.zmd [--salvage] [--salvage-fill nan|zero]
 //! zmesh query data.zms --field <name> --bbox x0,y0:x1,y1 [--level L] [--salvage] [-o out.csv]
 //! zmesh scrub data.zms
@@ -77,7 +77,7 @@ fn print_usage() {
          \x20                                     [--codec sz|zfp] [--rel-eb 1e-4 | --abs-eb X]\n\
          \x20 zmesh decompress data.zmc -o restored.zmd\n\
          \x20 zmesh extract data.zmc --field <name> -o field.zmd\n\
-         \x20 zmesh pack data.zmd -o data.zms [compress flags] [--chunk-kb 64] [--parity none|xor[:W]|rs:K,M] [--stream] [--window-bytes N]\n\
+         \x20 zmesh pack data.zmd -o data.zms [compress flags] [--chunk-kb 64] [--parity none|xor[:W]|rs:K,M] [--window-bytes N]\n\
          \x20 zmesh unpack data.zms -o restored.zmd [--salvage] [--salvage-fill nan|zero]\n\
          \x20 zmesh query data.zms --field <name> --bbox x0,y0:x1,y1 [--level L[,L...]] [--salvage] [-o out.csv]\n\
          \x20 zmesh scrub data.zms\n\

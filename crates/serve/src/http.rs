@@ -17,6 +17,7 @@
 //! answered `400` and closed, since framing can no longer be trusted).
 
 use std::io::{BufRead, Write};
+use zmesh_store::json_escape;
 
 /// Longest accepted request line or header line, in bytes. Anything
 /// larger is a malformed or hostile request.
@@ -411,25 +412,6 @@ impl Response {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal (same dialect
-/// as the store's hand-rolled reports: quotes, backslashes, control
-/// bytes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,11 +559,5 @@ mod tests {
         assert!(String::from_utf8(buf)
             .unwrap()
             .starts_with("HTTP/1.1 408 Request Timeout\r\n"));
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_bytes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

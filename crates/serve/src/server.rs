@@ -40,10 +40,10 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use zmesh_store::{DamageReport, Query, QueryResult, ReadPolicy, StoreError};
+use zmesh_store::{json_escape, DamageReport, Query, QueryResult, ReadPolicy, StoreError};
 
 use crate::catalog::{Catalog, CatalogEntry, HealthReport, HealthState, DEFAULT_CACHE_BYTES};
-use crate::http::{json_escape, parse_request, ParseOutcome, Request, Response};
+use crate::http::{parse_request, ParseOutcome, Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::ServeMetrics;
 use crate::wire;

@@ -565,9 +565,10 @@ pub(crate) fn read_footer(bytes: &[u8], version: u16) -> Result<Vec<FieldEntry>,
 }
 
 /// Assembles a complete store from its parts (`payload` already contains
-/// the parity section, when there is one). v4 stores get the trailing
-/// commit record — written last, so its presence proves the store bytes
-/// before it are complete.
+/// the parity section, when there is one) — the format tests' way to build
+/// stores from hand-made indexes; real stores are laid out by
+/// [`crate::layout::Layout`].
+#[cfg(test)]
 pub(crate) fn assemble(header_bytes: Vec<u8>, payload: &[u8], fields: &[FieldEntry]) -> Vec<u8> {
     let tail = container_tail(&header_bytes, payload.len() as u64, fields);
     let mut out = header_bytes;
@@ -578,9 +579,9 @@ pub(crate) fn assemble(header_bytes: Vec<u8>, payload: &[u8], fields: &[FieldEnt
 
 /// Everything after the payload span — footer, trailer, and (v4) commit
 /// record — for a store whose header is `header_bytes` and whose payload
-/// (data chunks + parity section) is `payload_len` bytes. [`assemble`] and
-/// the streaming writer both emit `header ∥ payload ∥ container_tail(…)`,
-/// so the two paths are byte-identical by construction.
+/// (data chunks + parity section) is `payload_len` bytes. v4 stores get
+/// the trailing commit record — written last, so its presence proves the
+/// store bytes before it are complete.
 pub(crate) fn container_tail(
     header_bytes: &[u8],
     payload_len: u64,

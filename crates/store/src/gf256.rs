@@ -147,7 +147,9 @@ fn fma_into(acc: &mut [u8], src: &[u8], c: u8) {
 }
 
 /// Encodes `m` parity shards over `members` (zero-padded to the longest
-/// member). Returns `None` when `members.len() + m > 256` or `m == 0`.
+/// member) in one batch. Returns `None` when `members.len() + m > 256` or
+/// `m == 0`. Stores accumulate shards member by member as chunks are laid
+/// out; this batch form is their reference.
 pub fn rs_encode(members: &[&[u8]], m: usize) -> Option<Vec<Vec<u8>>> {
     if m == 0 || members.len().checked_add(m)? > MAX_SHARDS {
         return None;

@@ -57,6 +57,7 @@ mod chunk_cache;
 pub mod faultinject;
 mod format;
 pub mod gf256;
+mod layout;
 mod parity;
 #[cfg(test)]
 mod proptests;
@@ -80,9 +81,9 @@ pub use reader::{
     ReadPolicy, RetryPolicy, RetryStats, SalvageFill, StoreReader,
 };
 pub use repair::{
-    repair, repair_with, repair_with_sources, salvage_torn, scrub, scrub_source, ChunkKind,
-    LostChunk, RawSource, RepairOutcome, RepairSource, RepairedChunk, ScrubChunk, ScrubReport,
-    TornSalvage,
+    json_escape, repair, repair_with, repair_with_sources, salvage_torn, scrub, scrub_source,
+    ChunkKind, LostChunk, RawSource, RepairOutcome, RepairSource, RepairedChunk, ScrubChunk,
+    ScrubReport, TornSalvage,
 };
 #[cfg(unix)]
 pub use sink::FileSink;

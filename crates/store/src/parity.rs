@@ -185,8 +185,10 @@ pub fn xor_into(acc: &mut Vec<u8>, src: &[u8]) {
     }
 }
 
-/// Builds one group's parity payload: the XOR of every member payload,
-/// zero-padded to the longest.
+/// Builds one group's parity payload in one batch: the XOR of every member
+/// payload, zero-padded to the longest. Stores accumulate parity
+/// incrementally ([`crate::layout::Layout`]); this is the test oracle.
+#[cfg(test)]
 pub fn build_group_parity<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
     let mut acc = Vec::new();
     for p in payloads {

@@ -87,8 +87,9 @@ impl ReadPolicy {
     }
 }
 
-/// Bounded retry-with-exponential-backoff for *transient* read failures
-/// ([`StoreError::IoTransient`]: `EINTR`, `EAGAIN`, `EIO`, timeouts).
+/// Bounded retry-with-exponential-backoff for *transient* read and write
+/// failures ([`StoreError::IoTransient`]: `EINTR`, `EAGAIN`, `EIO`,
+/// timeouts).
 ///
 /// Attempt `n` (0-based) sleeps `base · 2ⁿ`, capped at `cap`, before
 /// retrying; after `attempts` total tries the last error surfaces
@@ -96,7 +97,7 @@ impl ReadPolicy {
 /// retry. [`RetryPolicy::none`] disables retrying entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total read attempts (≥ 1; the first try counts).
+    /// Total attempts (≥ 1; the first try counts).
     pub attempts: u32,
     /// Backoff before the first retry.
     pub base: std::time::Duration,
@@ -122,16 +123,69 @@ impl RetryPolicy {
             ..Self::default()
         }
     }
+
+    /// Runs `op`, retrying transient failures with exponential backoff and
+    /// counting them into `counters`. At least one attempt is always made;
+    /// non-transient failures surface immediately. Every retried operation
+    /// is idempotent: sources read at an explicit offset, and sinks append
+    /// at an offset that only advances on success.
+    pub(crate) fn run<T>(
+        &self,
+        counters: &RetryCounters,
+        mut op: impl FnMut() -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        use std::sync::atomic::Ordering;
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Err(e) if e.is_transient() => {
+                    attempt += 1;
+                    if attempt >= self.attempts.max(1) {
+                        counters.gave_up.fetch_add(1, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                    counters.retries.fetch_add(1, Ordering::Relaxed);
+                    let backoff = self
+                        .base
+                        .saturating_mul(1u32 << (attempt - 1).min(16))
+                        .min(self.cap);
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                    }
+                }
+                other => return other,
+            }
+        }
+    }
 }
 
-/// What a reader's retry loop has done so far — surfaced like
-/// [`crate::CacheStats`], via [`StoreReader::retry_stats`].
+/// What a retry loop has done so far — surfaced like
+/// [`crate::CacheStats`], via [`StoreReader::retry_stats`] (reads) and
+/// [`crate::StoreWriteStats::retry`] (writes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Transient failures that were retried (each retry counts once).
     pub retries: u64,
-    /// Reads that exhausted every attempt and surfaced the failure.
+    /// Operations that exhausted every attempt and surfaced the failure.
     pub gave_up: u64,
+}
+
+/// The live counters behind a [`RetryStats`] snapshot, shared by every
+/// [`RetryPolicy::run`] of one reader or writer.
+#[derive(Debug, Default)]
+pub(crate) struct RetryCounters {
+    retries: std::sync::atomic::AtomicU64,
+    gave_up: std::sync::atomic::AtomicU64,
+}
+
+impl RetryCounters {
+    pub(crate) fn stats(&self) -> RetryStats {
+        use std::sync::atomic::Ordering;
+        RetryStats {
+            retries: self.retries.load(Ordering::Relaxed),
+            gave_up: self.gave_up.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// What became of one damaged chunk under salvage.
@@ -389,8 +443,7 @@ pub struct StoreReader<S> {
     coalesce_gap: u64,
     chunk_cache: Option<(Arc<ChunkCache>, u64)>,
     retry: RetryPolicy,
-    retries: std::sync::atomic::AtomicU64,
-    retry_gave_up: std::sync::atomic::AtomicU64,
+    retry_counters: RetryCounters,
 }
 
 impl<'a> StoreReader<SliceSource<'a>> {
@@ -416,8 +469,7 @@ impl<'a> StoreReader<SliceSource<'a>> {
 struct RetryingSource<'a, S: ByteSource> {
     inner: &'a S,
     policy: RetryPolicy,
-    retries: &'a std::sync::atomic::AtomicU64,
-    gave_up: &'a std::sync::atomic::AtomicU64,
+    counters: &'a RetryCounters,
 }
 
 impl<S: ByteSource> ByteSource for RetryingSource<'_, S> {
@@ -426,29 +478,8 @@ impl<S: ByteSource> ByteSource for RetryingSource<'_, S> {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
-        use std::sync::atomic::Ordering;
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.read_at(offset, buf) {
-                Err(e) if e.is_transient() => {
-                    attempt += 1;
-                    if attempt >= self.policy.attempts.max(1) {
-                        self.gave_up.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = self
-                        .policy
-                        .base
-                        .saturating_mul(1u32 << (attempt - 1).min(16))
-                        .min(self.policy.cap);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                other => return other,
-            }
-        }
+        self.policy
+            .run(self.counters, || self.inner.read_at(offset, buf))
     }
 
     fn as_slice(&self) -> Option<&[u8]> {
@@ -481,13 +512,11 @@ impl<S: ByteSource> StoreReader<S> {
 
     fn open_impl(source: S, cache: Option<&RecipeCache>) -> Result<Self, StoreError> {
         let retry = RetryPolicy::default();
-        let retries = std::sync::atomic::AtomicU64::new(0);
-        let retry_gave_up = std::sync::atomic::AtomicU64::new(0);
+        let retry_counters = RetryCounters::default();
         let (header, fields, payload) = format::open_source(&RetryingSource {
             inner: &source,
             policy: retry,
-            retries: &retries,
-            gave_up: &retry_gave_up,
+            counters: &retry_counters,
         })?;
         // Every level-0 cell is a stream point (or covered by leaves that
         // are), so a base grid larger than the values the footer indexes is
@@ -530,8 +559,7 @@ impl<S: ByteSource> StoreReader<S> {
             coalesce_gap: 0,
             chunk_cache: None,
             retry,
-            retries,
-            retry_gave_up,
+            retry_counters,
         })
     }
 
@@ -588,42 +616,7 @@ impl<S: ByteSource> StoreReader<S> {
 
     /// Retry counters accumulated by this reader's payload reads.
     pub fn retry_stats(&self) -> RetryStats {
-        use std::sync::atomic::Ordering;
-        RetryStats {
-            retries: self.retries.load(Ordering::Relaxed),
-            gave_up: self.retry_gave_up.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs `op`, retrying transient failures under the retry policy with
-    /// exponential backoff. Non-transient failures surface immediately.
-    fn with_retries<T>(
-        &self,
-        mut op: impl FnMut() -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        use std::sync::atomic::Ordering;
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Err(e) if e.is_transient() => {
-                    attempt += 1;
-                    if attempt >= self.retry.attempts {
-                        self.retry_gave_up.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = self
-                        .retry
-                        .base
-                        .saturating_mul(1u32 << (attempt - 1).min(16))
-                        .min(self.retry.cap);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                other => return other,
-            }
-        }
+        self.retry_counters.stats()
     }
 
     /// The attached decoded-chunk cache, if any.
@@ -748,7 +741,9 @@ impl<S: ByteSource> StoreReader<S> {
     /// borrowed zero-copy from resident sources, read otherwise.
     fn payload_slice(&self, offset: u64, len: u64) -> Result<Cow<'_, [u8]>, StoreError> {
         let range = self.payload_range(offset, len)?;
-        self.with_retries(|| source::fetch(&self.source, range.start, range.end - range.start))
+        self.retry.run(&self.retry_counters, || {
+            source::fetch(&self.source, range.start, range.end - range.start)
+        })
     }
 
     /// CRC-verified compressed payload of chunk `i` of `entry`.
@@ -1011,7 +1006,9 @@ impl<S: ByteSource> StoreReader<S> {
             scope.spawn(move || {
                 for group in groups {
                     let len = (group.range.end - group.range.start) as usize;
-                    let bytes = this.with_retries(|| this.source.read_vec(group.range.start, len));
+                    let bytes = this.retry.run(&this.retry_counters, || {
+                        this.source.read_vec(group.range.start, len)
+                    });
                     if tx.send((group, bytes)).is_err() {
                         return;
                     }

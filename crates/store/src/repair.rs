@@ -24,12 +24,14 @@
 //! can only use a replica or raw source.
 
 use crate::cache::RecipeCache;
-use crate::format::{self, assemble, write_header, FieldEntry, StoreError, StoreHeader};
+use crate::format::{self, FieldEntry, StoreError, StoreHeader};
 use crate::gf256;
-use crate::parity::{
-    build_group_parity, group_count, group_members, group_of, reconstruct, Parity, ParityMeta,
-};
+use crate::layout::Layout;
+use crate::parity::{group_count, group_members, group_of, reconstruct, Parity};
+use crate::reader::RetryPolicy;
+use crate::sink::VecSink;
 use crate::source::{self, ByteSource, SliceSource};
+use crate::writer::{encode_run, EncodedChunk, RUN_CHUNKS};
 use std::borrow::Cow;
 use std::ops::Range;
 use zmesh::{codec_for, crc32, GroupingMode};
@@ -171,12 +173,18 @@ impl ScrubReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes, and control bytes (`\n`, `\r`, `\t` in their short
+/// forms). The store's reports and the serve daemon's responses share it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -429,9 +437,10 @@ impl<'a> RawSource<'a> {
     }
 }
 
-/// Re-encodes every chunk of `entry` from the raw field data, reproducing
-/// the writer's pipeline from the parameters recorded in the header and
-/// footer. Returns a descriptive error when the raw data cannot possibly
+/// Re-encodes every chunk of `entry` from the raw field data with the
+/// writer's own job ([`encode_run`]), under the parameters recorded in
+/// the header and footer; each chunk comes with its CRC. Returns a
+/// descriptive error when the raw data cannot possibly
 /// match (wrong mesh, wrong mode, no reproducible error control) — the
 /// error surfaces on any chunks the other avenues also fail to recover,
 /// and callers still verify each re-encoded chunk against its footer CRC
@@ -440,7 +449,7 @@ fn raw_encode_field(
     header: &StoreHeader,
     entry: &FieldEntry,
     raw: &RawSource<'_>,
-) -> Result<Vec<Vec<u8>>, StoreError> {
+) -> Result<Vec<EncodedChunk>, StoreError> {
     let (_, field) = raw
         .fields
         .iter()
@@ -486,7 +495,8 @@ fn raw_encode_field(
     let (recipe, _) = cache.get_or_build(tree, &header.structure, header.policy, grouping);
     let stream = recipe.apply(field.values());
     let chunk_values = header.chunk_values();
-    if stream.len().div_ceil(chunk_values) != entry.chunks.len() {
+    let n = entry.chunks.len();
+    if stream.len().div_ceil(chunk_values) != n {
         return Err(StoreError::InvalidOptions(
             "raw dataset value count disagrees with the store's chunk plan",
         ));
@@ -497,15 +507,10 @@ fn raw_encode_field(
         dims: [0, 0, 0],
         value_type: header.value_type,
     };
-    let mut out = Vec::with_capacity(entry.chunks.len());
-    for i in 0..entry.chunks.len() {
-        let lo = i * chunk_values;
-        let hi = ((i + 1) * chunk_values).min(stream.len());
-        out.push(
-            codec
-                .compress(&stream[lo..hi], &params)
-                .map_err(StoreError::Codec)?,
-        );
+    let mut out = Vec::with_capacity(n);
+    for c in (0..n).step_by(RUN_CHUNKS) {
+        let run = c..(c + RUN_CHUNKS).min(n);
+        out.extend(encode_run(&*codec, &stream, &params, chunk_values, run)?);
     }
     Ok(out)
 }
@@ -593,7 +598,7 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
             .collect();
         let mut sources: Vec<Option<RepairSource>> = vec![None; n];
         // The raw re-encode covers the whole field; run it at most once.
-        let mut raw_chunks: Option<Result<Vec<Vec<u8>>, StoreError>> = None;
+        let mut raw_chunks: Option<Result<Vec<EncodedChunk>, StoreError>> = None;
         loop {
             let mut progress = false;
             // Avenue 1: the store's own parity, one group at a time.
@@ -670,8 +675,8 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
                                 continue;
                             }
                             let meta = &entry.chunks[i];
-                            let b = &encoded[i];
-                            if b.len() as u64 == meta.len && crc32(b) == meta.crc {
+                            let (b, crc) = &encoded[i];
+                            if b.len() as u64 == meta.len && *crc == meta.crc {
                                 chunks[i] = Some(b.clone());
                                 sources[i] = Some(RepairSource::Raw);
                                 progress = true;
@@ -714,64 +719,47 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
         return Ok(outcome);
     }
 
-    // Phase 2 — reassemble with the writer's deterministic layout
-    // (field-major data, then field-major parity), recomputing every
-    // offset and parity payload. For a writer-produced store this
-    // reproduces the pre-damage bytes exactly.
-    let mut new_payload: Vec<u8> = Vec::with_capacity((payload.end - payload.start) as usize);
-    let mut entries: Vec<FieldEntry> = Vec::with_capacity(fields.len());
-    for (f, entry) in fields.iter().enumerate() {
-        let mut chunks = Vec::with_capacity(entry.chunks.len());
-        for (i, meta) in entry.chunks.iter().enumerate() {
-            let mut meta = *meta;
-            meta.offset = new_payload.len() as u64;
-            new_payload.extend_from_slice(&recovered[f][i]);
-            chunks.push(meta);
-        }
-        entries.push(FieldEntry {
-            name: entry.name.clone(),
-            resolved_bound: entry.resolved_bound,
-            control: entry.control,
-            chunks,
-            parity: Vec::new(),
-        });
+    // Phase 2 — lay the recovered chunks out again through the writer's
+    // layout, which recomputes every offset and parity shard. For a
+    // writer-produced store this reproduces the pre-damage bytes exactly.
+    let (new_fields, bytes) = relay(&header, fields.clone(), &recovered)?;
+    for (old, new) in fields.iter().zip(&new_fields) {
+        outcome.parity_rebuilt += (0..new.parity.len())
+            .filter(|&slot| {
+                old.parity
+                    .get(slot)
+                    .is_none_or(|meta| meta.crc != new.parity[slot].crc)
+                    || parity_span(src, &payload, old, slot, shards).is_err()
+            })
+            .count();
     }
-    for (f, entry) in fields.iter().enumerate() {
-        for g in 0..group_count(entry.chunks.len(), width) {
-            let members = group_members(g, width, entry.chunks.len());
-            let new_shards: Vec<Vec<u8>> = match scheme {
-                Parity::None => Vec::new(),
-                Parity::Xor { .. } => vec![build_group_parity(
-                    members.map(|c| recovered[f][c].as_slice()),
-                )],
-                Parity::Rs { .. } => {
-                    let payloads: Vec<&[u8]> =
-                        members.map(|c| recovered[f][c].as_slice()).collect();
-                    gf256::rs_encode(&payloads, shards).ok_or(StoreError::Internal(
-                        "rs encode rejected a validated geometry",
-                    ))?
-                }
-            };
-            for (j, parity_bytes) in new_shards.iter().enumerate() {
-                let slot = g * shards + j;
-                let crc = crc32(parity_bytes);
-                if parity_span(src, &payload, entry, slot, shards).is_err()
-                    || crc != entry.parity[slot].crc
-                {
-                    outcome.parity_rebuilt += 1;
-                }
-                entries[f].parity.push(ParityMeta {
-                    offset: new_payload.len() as u64,
-                    len: parity_bytes.len() as u64,
-                    crc,
-                });
-                new_payload.extend_from_slice(parity_bytes);
-            }
-        }
-    }
-    outcome.bytes = Some(assemble(write_header(&header), &new_payload, &entries));
+    outcome.bytes = Some(bytes);
     outcome.bytes_read = src.bytes_read();
     Ok(outcome)
+}
+
+/// Lays `chunks` (per field, in stream order) out as a complete store
+/// under `header`, through the writer's [`Layout`]. Each field's entry
+/// keeps its name, bound and the coverage of its first `chunks[f].len()`
+/// chunks; offsets, CRCs, parity and the container tail are recomputed.
+/// Returns the new index and bytes.
+fn relay<B: AsRef<[u8]>>(
+    header: &StoreHeader,
+    mut fields: Vec<FieldEntry>,
+    chunks: &[Vec<B>],
+) -> Result<(Vec<FieldEntry>, Vec<u8>), StoreError> {
+    for (entry, kept) in fields.iter_mut().zip(chunks) {
+        entry.chunks.truncate(kept.len());
+        entry.parity.clear();
+    }
+    let mut sink = VecSink::new();
+    let mut layout = Layout::new(&mut sink, header, fields, RetryPolicy::none())?;
+    for bytes in chunks.iter().flatten() {
+        let bytes = bytes.as_ref();
+        layout.push(bytes, crc32(bytes))?;
+    }
+    let laid = layout.finish()?;
+    Ok((laid.fields, sink.into_bytes()))
 }
 
 /// Outcome of [`salvage_torn`]: what survived of a torn store.
@@ -906,14 +894,9 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
         chunks_kept: 0,
         dropped: Vec::new(),
     };
-    let width = header.parity_group_width as usize;
-    let scheme = header.scheme();
-    let shards = scheme.shards() as usize;
-    let mut new_payload: Vec<u8> = Vec::new();
-    let mut entries: Vec<FieldEntry> = Vec::with_capacity(fields.len());
-    let mut kept_payloads: Vec<Vec<Vec<u8>>> = Vec::with_capacity(fields.len());
+    let mut kept_payloads: Vec<Vec<&[u8]>> = Vec::with_capacity(fields.len());
     for entry in &fields {
-        let mut kept: Vec<Vec<u8>> = Vec::new();
+        let mut kept: Vec<&[u8]> = Vec::new();
         let mut first_error: Option<StoreError> = None;
         for (i, meta) in entry.chunks.iter().enumerate() {
             if first_error.is_none() {
@@ -928,7 +911,7 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
                 } else {
                     let span = &bytes[lo as usize..hi as usize];
                     if crc32(span) == meta.crc {
-                        Ok(span.to_vec())
+                        Ok(span)
                     } else {
                         Err(StoreError::ChunkCrc {
                             field: entry.name.clone(),
@@ -955,54 +938,16 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
             });
         }
         salvage.chunks_kept += kept.len();
-        let mut chunks = Vec::with_capacity(kept.len());
-        for (i, payload) in kept.iter().enumerate() {
-            let mut meta = entry.chunks[i];
-            meta.offset = new_payload.len() as u64;
-            new_payload.extend_from_slice(payload);
-            chunks.push(meta);
-        }
-        entries.push(FieldEntry {
-            name: entry.name.clone(),
-            resolved_bound: entry.resolved_bound,
-            control: entry.control,
-            chunks,
-            parity: Vec::new(),
-        });
         kept_payloads.push(kept);
     }
     if salvage.chunks_kept == 0 {
         return Ok(salvage);
     }
 
-    // Recompute parity over the kept chunks (the old parity protected
-    // groups that no longer exist at their old widths).
-    for (f, kept) in kept_payloads.iter().enumerate() {
-        for g in 0..group_count(kept.len(), width) {
-            let members = group_members(g, width, kept.len());
-            let new_shards: Vec<Vec<u8>> = match scheme {
-                Parity::None => Vec::new(),
-                Parity::Xor { .. } => {
-                    vec![build_group_parity(members.map(|c| kept[c].as_slice()))]
-                }
-                Parity::Rs { .. } => {
-                    let payloads: Vec<&[u8]> = members.map(|c| kept[c].as_slice()).collect();
-                    gf256::rs_encode(&payloads, shards).ok_or(StoreError::Internal(
-                        "rs encode rejected a validated geometry",
-                    ))?
-                }
-            };
-            for parity_bytes in &new_shards {
-                entries[f].parity.push(ParityMeta {
-                    offset: new_payload.len() as u64,
-                    len: parity_bytes.len() as u64,
-                    crc: crc32(parity_bytes),
-                });
-                new_payload.extend_from_slice(parity_bytes);
-            }
-        }
-    }
-    salvage.bytes = Some(assemble(write_header(&header), &new_payload, &entries));
+    // Lay the kept prefixes out afresh: parity is recomputed over the kept
+    // chunks (the old parity protected groups that no longer exist at
+    // their old widths).
+    salvage.bytes = Some(relay(&header, fields, &kept_payloads)?.1);
     Ok(salvage)
 }
 
@@ -1054,6 +999,12 @@ mod tests {
 
     fn rs_store(k: u32, m: u32) -> Vec<u8> {
         store_with(Parity::Rs { data: k, parity: m })
+    }
+
+    #[test]
+    fn json_escape_handles_quotes_and_control_bytes() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -1341,11 +1292,16 @@ mod tests {
         let pristine = fixed_rate_store(&ds);
         // Simulate a store written before control tagging: same payload,
         // footer control record stripped back to tag 0.
-        let (header, mut fields, payload) = format::open(&pristine).unwrap();
+        let (_, mut fields, payload) = format::open(&pristine).unwrap();
         for f in &mut fields {
             f.control = None;
         }
-        let mut legacy = assemble(write_header(&header), &pristine[payload], &fields);
+        let mut legacy = pristine[..payload.end].to_vec();
+        legacy.extend(format::container_tail(
+            &pristine[..payload.start],
+            payload.len() as u64,
+            &fields,
+        ));
         faultinject::flip_data_chunk(&mut legacy, 0, 0);
 
         let raw_fields = refs(&ds);

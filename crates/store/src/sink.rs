@@ -1,14 +1,13 @@
-//! Where store bytes go: the [`ByteSink`] abstraction behind the
-//! streaming write path — the write-side mirror of [`crate::ByteSource`].
+//! Where store bytes go: the [`ByteSink`] abstraction behind the store
+//! write path — the write-side mirror of [`crate::ByteSource`].
 //!
-//! [`crate::StoreWriter`] historically assembled the whole container in
-//! one `Vec<u8>` and dumped it with a single blocking `std::fs` write —
-//! fine for small stores, impossible for a dataset larger than RAM and
-//! opaque to fault tooling. `ByteSink` abstracts the byte destination so
-//! the writer can stream chunks as they compress:
+//! `ByteSink` abstracts the byte destination so the writer can stream
+//! chunks as they compress instead of assembling the whole container
+//! first — a dataset larger than RAM still packs, and fault tooling can
+//! wrap the destination:
 //!
-//! - [`VecSink`] — the in-memory path; collects exactly the bytes the
-//!   buffered writer would have produced;
+//! - [`VecSink`] — the in-memory path ([`crate::StoreWriter::write`],
+//!   repair, salvage);
 //! - [`FileSink`] — the crash-consistent file path: writes go to
 //!   `<path>.tmp` via positioned `pwrite`s (append-at-offset, so a
 //!   retried write is idempotent), and [`ByteSink::commit`] performs the
@@ -74,9 +73,7 @@ pub(crate) fn classify_write_error(e: &std::io::Error, what: &dyn std::fmt::Disp
     }
 }
 
-/// The in-memory sink: collects appended bytes in a `Vec<u8>`. Writing
-/// through a `VecSink` produces exactly the buffer the buffered writer
-/// would have returned.
+/// The in-memory sink: collects appended bytes in a `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct VecSink {
     bytes: Vec<u8>,

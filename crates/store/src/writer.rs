@@ -6,36 +6,30 @@
 //! independently decodable stream; the run only lets the SZ codec advance
 //! its chunks together, one per SIMD lane. Jobs are independent, so a
 //! write scales with cores even for a single field (the in-situ setting
-//! the paper's overhead experiments assume). The payload layout is
-//! deterministic — field-major, chunks in stream order — regardless of
-//! how many threads ran the jobs or how chunks were grouped into runs, so
-//! outputs are byte-identical at any parallelism.
+//! the paper's overhead experiments assume).
 //!
-//! Two paths share that job shape:
-//!
-//! - [`StoreWriter::write`] — the buffered path: every compressed chunk is
-//!   collected and the whole container assembled in one `Vec<u8>`;
-//! - [`StoreWriter::write_to_sink`] — the streaming path: chunks flow
-//!   through a fixed-size compress→write **window** into a [`ByteSink`].
-//!   Encoder threads compress ahead (admission bounded by
-//!   [`StreamOptions::window_bytes`] of raw input; a run is shortened
-//!   until its raw bytes fit the window, down to one chunk) while the
-//!   caller's thread writes finished chunks to the sink *in layout
-//!   order*, so the output is byte-identical to the buffered path at any
-//!   window size or thread count — but peak encode-buffer memory is
-//!   O(window), not O(container). Parity accumulates incrementally (XOR
-//!   folds, GF(2⁸) fused multiply-adds) as members stream past, so no
-//!   data chunk is retained after it is written.
+//! Chunks flow through a compress→write **window** into a [`ByteSink`]:
+//! encoder threads compress ahead (admission bounded by
+//! [`StreamOptions::window_bytes`] of raw input; a run is shortened until
+//! its raw bytes fit the window, down to one chunk) while the caller's
+//! thread hands finished chunks to the store [`Layout`] *in layout
+//! order* — field-major, chunks in stream order. The output is therefore
+//! byte-identical at any window size or thread count, and peak
+//! encode-buffer memory is O(window), not O(container). Parity
+//! accumulates incrementally as members stream past, so no data chunk is
+//! retained after it is written. [`StoreWriter::write`] is the same path
+//! into an in-memory [`VecSink`] with an unbounded window.
 
 use crate::cache::RecipeCache;
 use crate::chunk::{plan_chunks, ChunkPlan, DEFAULT_CHUNK_TARGET_BYTES};
-use crate::format::{assemble, container_tail, write_header, FieldEntry, StoreError, StoreHeader};
-use crate::gf256;
-use crate::parity::{build_group_parity, group_count, group_members, xor_into, Parity, ParityMeta};
+use crate::format::{FieldEntry, StoreError, StoreHeader};
+use crate::layout::Layout;
+use crate::parity::{group_count, Parity};
 use crate::reader::{RetryPolicy, RetryStats};
-use crate::sink::{persist_store, ByteSink};
+use crate::sink::{persist_store, ByteSink, VecSink};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -61,13 +55,13 @@ pub struct StoreWriteStats {
     pub reorder_ns: u64,
     /// CPU nanoseconds of the reorder phase, summed over per-field jobs.
     pub reorder_cpu_ns: u64,
-    /// Wall nanoseconds of the encode phase (fields × chunk-run jobs; for
-    /// the streaming path this is the overlapped compress+write phase).
+    /// Wall nanoseconds of the overlapped compress+write phase (fields ×
+    /// chunk-run jobs).
     pub encode_ns: u64,
     /// CPU nanoseconds of the encode phase, summed over every
     /// compression job (a run of chunks of one field).
     pub encode_cpu_ns: u64,
-    /// Worker threads available to the encode fan-out.
+    /// Encoder threads the write ran.
     pub encode_threads: usize,
     /// Fields written.
     pub n_fields: usize,
@@ -87,25 +81,20 @@ pub struct StoreWriteStats {
     /// Header + footer + trailer bytes (everything except data and parity
     /// payloads).
     pub metadata_bytes: usize,
-    /// Whether this write streamed through a bounded window
-    /// ([`StoreWriter::write_to_sink`]) instead of assembling the
-    /// container in memory.
-    pub streamed: bool,
-    /// The configured [`StreamOptions::window_bytes`] (0 for the buffered
-    /// path or an unbounded window).
+    /// The configured [`StreamOptions::window_bytes`] (0 for an unbounded
+    /// window, as [`StoreWriter::write`] uses).
     pub window_bytes: usize,
-    /// Peak compressed chunk bytes resident in the encode buffer at once:
-    /// the entire payload for the buffered path; bounded by the window for
-    /// the streaming path (admission is gated on raw chunk bytes, so this
-    /// stays ≤ `window_bytes` whenever chunks do not expand under
-    /// compression).
+    /// Peak compressed chunk bytes resident between the encoders and the
+    /// sink at once. Admission is gated on raw chunk bytes, so under a
+    /// bounded window this stays ≤ `window_bytes` whenever chunks do not
+    /// expand under compression; under an unbounded one it depends on how
+    /// far the encoders ran ahead of the sink.
     pub peak_buffer_bytes: usize,
     /// Process peak resident set size (`VmHWM`) sampled at the end of the
     /// write, in bytes; 0 when the platform does not expose it.
     pub peak_rss_bytes: usize,
-    /// Transient sink-write failures retried (and given up on) by the
-    /// streaming path under its [`RetryPolicy`]; all-zero for the
-    /// buffered path.
+    /// Transient sink-write failures retried (and given up on) under
+    /// [`StreamOptions::retry`].
     pub retry: RetryStats,
 }
 
@@ -138,8 +127,8 @@ impl StoreWriteStats {
 }
 
 /// Process peak resident set size (`VmHWM` from `/proc/self/status`) in
-/// bytes — the observable the streaming write path's O(window) memory
-/// claim is judged by. Returns 0 on platforms without procfs.
+/// bytes — the observable the write path's O(window) memory claim is
+/// judged by. Returns 0 on platforms without procfs.
 pub fn process_peak_rss() -> usize {
     #[cfg(target_os = "linux")]
     {
@@ -186,7 +175,7 @@ impl Default for StoreWriteOptions {
     }
 }
 
-/// Knobs of the streaming write path ([`StoreWriter::write_to_sink`]).
+/// Knobs of the compress→write window ([`StoreWriter::write_to_sink`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
     /// Ceiling on raw (uncompressed) chunk bytes admitted into the
@@ -198,9 +187,7 @@ pub struct StreamOptions {
     /// time; it never deadlocks.
     pub window_bytes: usize,
     /// Retry policy for transient sink-write failures (`EINTR`, `EAGAIN`,
-    /// `EIO`): same backoff discipline as the read side. Retried writes
-    /// are idempotent — sinks append at a tracked offset that only
-    /// advances on success.
+    /// `EIO`): same backoff discipline as the read side.
     pub retry: RetryPolicy,
 }
 
@@ -233,8 +220,8 @@ pub struct StoreWriter {
     cache: std::sync::Arc<RecipeCache>,
 }
 
-/// Everything both write paths need after the shared preamble: recipe,
-/// chunk plan, reordered streams, and the serialized header.
+/// Everything the encode needs after the preamble: recipe, chunk plan,
+/// reordered streams, and the header.
 struct Prepared {
     recipe_ns: u64,
     recipe_cache_hit: bool,
@@ -243,9 +230,27 @@ struct Prepared {
     /// Per field: reordered stream, resolved absolute bound, reorder CPU ns.
     reordered: Vec<(Vec<f64>, Option<f64>, u64)>,
     plan: ChunkPlan,
-    header_bytes: Vec<u8>,
+    header: StoreHeader,
     params: CodecParams,
     raw_bytes: usize,
+}
+
+impl Prepared {
+    /// One write job: chunks `run` of field `f` under the field's resolved
+    /// bound.
+    fn encode(
+        &self,
+        codec: &(dyn Codec + Send + Sync),
+        f: usize,
+        run: Range<usize>,
+    ) -> Result<Vec<EncodedChunk>, CodecError> {
+        let (stream, bound, _) = &self.reordered[f];
+        let mut params = self.params;
+        if let Some(bound) = bound {
+            params.control = ErrorControl::Absolute(*bound);
+        }
+        encode_run(codec, stream, &params, self.plan.chunk_values, run)
+    }
 }
 
 impl StoreWriter {
@@ -310,10 +315,10 @@ impl StoreWriter {
         self.options
     }
 
-    /// Shared preamble of both write paths: validate inputs, obtain the
-    /// recipe (build or cache hit), plan chunks, reorder every field in
-    /// parallel, and serialize the header. Everything downstream of this
-    /// is pure per-field, per-chunk compression plus layout.
+    /// The preamble of every write: validate inputs, obtain the recipe
+    /// (build or cache hit), plan chunks, reorder every field in parallel,
+    /// and build the header. Everything downstream of this is pure
+    /// per-field, per-chunk compression plus layout.
     fn prepare(&self, fields: &[(&str, &AmrField)]) -> Result<Prepared, StoreError> {
         self.options.parity.validate()?;
         let (_, first) = fields
@@ -388,156 +393,35 @@ impl StoreWriter {
             reorder_cpu_ns,
             reordered,
             plan,
-            header_bytes: write_header(&header),
+            header,
             params,
             raw_bytes,
         })
     }
 
     /// Compresses `fields` (sharing one mesh) into a chunked, indexed
-    /// store. The stream framing (and hence the index size) is identical
-    /// for every ordering policy; only payload bytes differ.
+    /// store in memory: [`StoreWriter::write_to_sink`] into a [`VecSink`]
+    /// with an unbounded window. The stream framing (and hence the index
+    /// size) is identical for every ordering policy; only payload bytes
+    /// differ.
     pub fn write(&self, fields: &[(&str, &AmrField)]) -> Result<StoreWritten, StoreError> {
-        let prep = self.prepare(fields)?;
-        let codec = codec_for(self.config.codec);
-
-        // Compress, one parallel job per run of up to RUN_CHUNKS
-        // consecutive chunks of one field (the codec encodes a run's
-        // chunks together). A flat job list (instead of nesting per-chunk
-        // parallelism inside a per-field loop) keeps the pool saturated
-        // even when field and run counts are individually smaller than the
-        // core count.
-        let n_chunks = prep.plan.metas.len();
-        let jobs: Vec<(usize, usize)> = (0..fields.len())
-            .flat_map(|f| (0..n_chunks).step_by(RUN_CHUNKS).map(move |c| (f, c)))
-            .collect();
-        let t2 = Instant::now();
-        let runs: Vec<EncodedRun> = jobs
-            .par_iter()
-            .map(|&(f, c)| {
-                let t = Instant::now();
-                let chunks = encode_run(&*codec, &prep, f, c..(c + RUN_CHUNKS).min(n_chunks))?;
-                Ok((chunks, t.elapsed().as_nanos() as u64))
-            })
-            .collect::<Result<_, CodecError>>()?;
-        let encode_ns = t2.elapsed().as_nanos() as u64;
-        let encode_cpu_ns = runs.iter().map(|(_, ns)| ns).sum();
-        let compressed: Vec<(Vec<u8>, u32)> =
-            runs.into_iter().flat_map(|(chunks, _)| chunks).collect();
-
-        // The index is only honest if every planned chunk produced exactly
-        // one payload. A mismatch is a bug in this library — fail hard
-        // instead of zip-truncating into an index that lies.
-        if compressed.len() != fields.len() * n_chunks {
-            return Err(StoreError::Internal(
-                "compressed payload count mismatches the chunk plan",
-            ));
-        }
-
-        // Deterministic layout: field-major, chunks in stream order,
-        // independent of how many threads ran the jobs above.
-        let mut payload: Vec<u8> = Vec::new();
-        let mut entries: Vec<FieldEntry> = Vec::with_capacity(fields.len());
-        for (f, (name, _)) in fields.iter().enumerate() {
-            let mut chunks = Vec::with_capacity(n_chunks);
-            for (c, meta) in prep.plan.metas.iter().enumerate() {
-                let (bytes, crc) = &compressed[f * n_chunks + c];
-                let mut meta = *meta;
-                meta.offset = payload.len() as u64;
-                meta.len = bytes.len() as u64;
-                meta.crc = *crc;
-                payload.extend_from_slice(bytes);
-                chunks.push(meta);
-            }
-            entries.push(FieldEntry {
-                name: (*name).to_string(),
-                resolved_bound: prep.reordered[f].1,
-                // Unbounded controls leave no resolved bound to re-encode
-                // from, so the footer records the control itself — this is
-                // what lets `repair --from-raw` reproduce fixed-rate /
-                // fixed-precision fields bit-exactly.
-                control: prep.reordered[f].1.is_none().then_some(self.config.control),
-                chunks,
-                parity: Vec::new(),
-            });
-        }
-        let payload_bytes = payload.len();
-
-        // Parity section, appended after the data payload in the same
-        // field-major order. One XOR chunk (v3) or `m` Reed–Solomon shards
-        // (v4) per group of `width` data chunks; offsets stay relative to
-        // the payload span like the data chunks', so readers slice both
-        // through one code path.
-        let width = self.options.parity.width() as usize;
-        let mut parity_groups = 0usize;
-        if width > 0 {
-            for (f, entry) in entries.iter_mut().enumerate() {
-                let groups = group_count(n_chunks, width);
-                parity_groups += groups;
-                for g in 0..groups {
-                    let members = group_members(g, width, n_chunks);
-                    let shards: Vec<Vec<u8>> = match self.options.parity {
-                        Parity::None => unreachable!("width > 0"),
-                        Parity::Xor { .. } => vec![build_group_parity(
-                            members.map(|c| compressed[f * n_chunks + c].0.as_slice()),
-                        )],
-                        Parity::Rs { parity: m, .. } => {
-                            let payloads: Vec<&[u8]> = members
-                                .map(|c| compressed[f * n_chunks + c].0.as_slice())
-                                .collect();
-                            gf256::rs_encode(&payloads, m as usize).ok_or(StoreError::Internal(
-                                "rs encode rejected validated geometry",
-                            ))?
-                        }
-                    };
-                    for bytes in shards {
-                        entry.parity.push(ParityMeta {
-                            offset: payload.len() as u64,
-                            len: bytes.len() as u64,
-                            crc: crc32(&bytes),
-                        });
-                        payload.extend_from_slice(&bytes);
-                    }
-                }
-            }
-        }
-        let parity_bytes = payload.len() - payload_bytes;
-
-        let bytes = assemble(prep.header_bytes, &payload, &entries);
-
+        let mut sink = VecSink::new();
+        let opts = StreamOptions {
+            window_bytes: 0,
+            ..StreamOptions::default()
+        };
+        let stats = self.write_to_sink(fields, &mut sink, &opts)?;
         Ok(StoreWritten {
-            stats: StoreWriteStats {
-                recipe_ns: prep.recipe_ns,
-                recipe_cache_hit: prep.recipe_cache_hit,
-                reorder_ns: prep.reorder_ns,
-                reorder_cpu_ns: prep.reorder_cpu_ns,
-                encode_ns,
-                encode_cpu_ns,
-                encode_threads: rayon::current_num_threads(),
-                n_fields: fields.len(),
-                n_chunks,
-                raw_bytes: prep.raw_bytes,
-                container_bytes: bytes.len(),
-                payload_bytes,
-                parity_bytes,
-                parity_groups,
-                metadata_bytes: bytes.len() - payload_bytes - parity_bytes,
-                streamed: false,
-                window_bytes: 0,
-                // The buffered path holds every compressed chunk at once.
-                peak_buffer_bytes: payload_bytes + parity_bytes,
-                peak_rss_bytes: process_peak_rss(),
-                retry: RetryStats::default(),
-            },
-            bytes,
+            bytes: sink.into_bytes(),
+            stats,
         })
     }
 }
 
-/// Admission state of the streaming window: encoder threads take the next
-/// run of chunks in layout order only when its raw bytes fit the window
-/// (or nothing is in flight — the progress guarantee for chunks larger
-/// than the whole window).
+/// Admission state of the window: encoder threads take the next run of
+/// chunks in layout order only when its raw bytes fit the window (or
+/// nothing is in flight — the progress guarantee for chunks larger than
+/// the whole window).
 struct WindowState {
     next_chunk: usize,
     inflight_jobs: usize,
@@ -547,32 +431,33 @@ struct WindowState {
 
 /// Consecutive chunks of one field a write job encodes together: the SZ
 /// codec advances that many independent chunk streams in one pass.
-const RUN_CHUNKS: usize = zmesh_codecs::sz::LANES;
+pub(crate) const RUN_CHUNKS: usize = zmesh_codecs::sz::LANES;
 
-/// A finished job: its chunks' compressed bytes with their CRCs, in
-/// order, and the job's encode nanoseconds.
-type EncodedRun = (Vec<(Vec<u8>, u32)>, u64);
+/// One compressed chunk and its CRC-32.
+pub(crate) type EncodedChunk = (Vec<u8>, u32);
+
+/// A finished job: its compressed chunks in order, and the job's encode
+/// nanoseconds.
+type EncodedRun = (Vec<EncodedChunk>, u64);
 
 /// Raw (uncompressed) bytes of chunks `run` — the admission cost of a job.
-fn run_cost(plan: &ChunkPlan, run: std::ops::Range<usize>) -> usize {
+fn run_cost(plan: &ChunkPlan, run: Range<usize>) -> usize {
     run.map(|c| plan.stream_range(c).len() * 8).sum()
 }
 
-/// One write job: chunks `run` of field `f`, compressed together under
-/// the field's resolved bound, each with its CRC.
-fn encode_run(
+/// The write job: chunks `run` of `stream` (framed at `chunk_values`
+/// values per chunk), compressed together under `params`, each with its
+/// CRC. Repair's raw re-encode runs the same job, so its chunks match the
+/// writer's byte for byte.
+pub(crate) fn encode_run(
     codec: &(dyn Codec + Send + Sync),
-    prep: &Prepared,
-    f: usize,
-    run: std::ops::Range<usize>,
-) -> Result<Vec<(Vec<u8>, u32)>, CodecError> {
-    let (stream, bound, _) = &prep.reordered[f];
-    let mut params = prep.params;
-    if let Some(bound) = bound {
-        params.control = ErrorControl::Absolute(*bound);
-    }
-    let values = prep.plan.stream_range(run.start).start..prep.plan.stream_range(run.end - 1).end;
-    let out = codec.compress_chunks(&stream[values], &params, prep.plan.chunk_values)?;
+    stream: &[f64],
+    params: &CodecParams,
+    chunk_values: usize,
+    run: Range<usize>,
+) -> Result<Vec<EncodedChunk>, CodecError> {
+    let values = run.start * chunk_values..(run.end * chunk_values).min(stream.len());
+    let out = codec.compress_chunks(&stream[values], params, chunk_values)?;
     Ok(out
         .payloads
         .into_iter()
@@ -583,98 +468,17 @@ fn encode_run(
         .collect())
 }
 
-/// One `write_all` under the retry policy: transient sink failures back
-/// off and retry (append offsets only advance on success, so a retry is
-/// idempotent); everything else surfaces immediately.
-fn sink_write<K: ByteSink + ?Sized>(
-    sink: &mut K,
-    buf: &[u8],
-    policy: &RetryPolicy,
-    stats: &mut RetryStats,
-) -> Result<(), StoreError> {
-    let mut attempt = 0u32;
-    loop {
-        match sink.write_all(buf) {
-            Err(e) if e.is_transient() => {
-                attempt += 1;
-                if attempt >= policy.attempts {
-                    stats.gave_up += 1;
-                    return Err(e);
-                }
-                stats.retries += 1;
-                let backoff = policy
-                    .base
-                    .saturating_mul(1u32 << (attempt - 1).min(16))
-                    .min(policy.cap);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            other => return other,
-        }
-    }
-}
-
-/// Folds one freshly written data chunk into its parity group accumulator
-/// (`cur`, one buffer per shard), pushing finished groups onto `done` in
-/// the field-major order the parity section is laid out in. Incremental
-/// accumulation is exact: XOR is order-free, and a Reed–Solomon shard is
-/// a GF(2⁸)-linear combination of its members, so member-at-a-time fused
-/// multiply-adds reproduce [`gf256::rs_encode`] byte for byte.
-fn accumulate_parity(
-    parity: Parity,
-    n_chunks: usize,
-    f: usize,
-    c: usize,
-    bytes: &[u8],
-    cur: &mut Vec<Vec<u8>>,
-    done: &mut Vec<(usize, Vec<u8>)>,
-) -> Result<(), StoreError> {
-    let width = parity.width() as usize;
-    if width == 0 {
-        return Ok(());
-    }
-    let member = c % width;
-    if member == 0 {
-        debug_assert!(cur.is_empty(), "previous group not drained");
-        cur.resize(parity.shards() as usize, Vec::new());
-    }
-    match parity {
-        Parity::None => {}
-        Parity::Xor { .. } => xor_into(&mut cur[0], bytes),
-        Parity::Rs { parity: m, .. } => {
-            for (j, shard) in cur.iter_mut().enumerate() {
-                // A shard is as long as the group's longest member.
-                if shard.len() < bytes.len() {
-                    shard.resize(bytes.len(), 0);
-                }
-                let coeff = gf256::coefficient(j, member, m as usize).ok_or(
-                    StoreError::Internal("rs coefficient out of range for validated geometry"),
-                )?;
-                gf256::MulTable::new(coeff).fma_into(shard, bytes);
-            }
-        }
-    }
-    if member + 1 == width || c + 1 == n_chunks {
-        for shard in cur.drain(..) {
-            done.push((f, shard));
-        }
-    }
-    Ok(())
-}
-
 impl StoreWriter {
     /// Streams `fields` into `sink` through a bounded compress→write
     /// window: encoder threads compress jobs (runs of up to four chunks of
     /// one field, each shortened until its raw bytes fit the window) ahead
-    /// of the writer while this thread appends finished chunks in layout
+    /// of the writer while this thread lays finished chunks out in layout
     /// order, then the parity section, footer, trailer, and commit record,
-    /// and finally calls [`ByteSink::commit`]. The emitted bytes are
-    /// **byte-identical** to [`StoreWriter::write`] at any window size and
-    /// thread count; peak encode-buffer memory is bounded by
-    /// [`StreamOptions::window_bytes`] (with parity enabled, the
-    /// accumulated parity shards — ≈ payload/width bytes — additionally
-    /// stay resident until the parity section is written).
+    /// and finally calls [`ByteSink::commit`]. The emitted bytes are the
+    /// same at any window size and thread count; peak encode-buffer memory
+    /// is bounded by [`StreamOptions::window_bytes`] (with parity enabled,
+    /// the accumulated parity shards — ≈ payload/width bytes —
+    /// additionally stay resident until the parity section is written).
     ///
     /// Transient sink-write failures retry under [`StreamOptions::retry`]
     /// (accounted in [`StoreWriteStats::retry`]); any other failure aborts
@@ -693,22 +497,23 @@ impl StoreWriter {
         let n_fields = fields.len();
         let total_chunks = n_fields * n_chunks;
         let window = opts.window_bytes;
-        let policy = opts.retry;
-        let mut rstats = RetryStats::default();
 
-        let mut entries: Vec<FieldEntry> = fields
+        let entries: Vec<FieldEntry> = fields
             .iter()
-            .enumerate()
-            .map(|(f, (name, _))| FieldEntry {
+            .zip(&prep.reordered)
+            .map(|((name, _), (_, bound, _))| FieldEntry {
                 name: (*name).to_string(),
-                resolved_bound: prep.reordered[f].1,
-                control: prep.reordered[f].1.is_none().then_some(self.config.control),
-                chunks: Vec::with_capacity(n_chunks),
+                resolved_bound: *bound,
+                // Unbounded controls leave no resolved bound to re-encode
+                // from, so the footer records the control itself — this is
+                // what lets `repair --from-raw` reproduce fixed-rate /
+                // fixed-precision fields bit-exactly.
+                control: bound.is_none().then_some(self.config.control),
+                chunks: prep.plan.metas.clone(),
                 parity: Vec::new(),
             })
             .collect();
-
-        sink_write(sink, &prep.header_bytes, &policy, &mut rstats)?;
+        let mut layout = Layout::new(sink, &prep.header, entries, opts.retry)?;
 
         let n_workers = rayon::current_num_threads().clamp(1, total_chunks.max(1));
         let state = Mutex::new(WindowState {
@@ -722,11 +527,7 @@ impl StoreWriter {
         // the observable the O(window) claim is asserted on.
         let resident = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-
         let mut encode_cpu_ns = 0u64;
-        let mut payload_pos = 0u64; // relative to the payload span
-        let mut group_acc: Vec<Vec<u8>> = Vec::new();
-        let mut parity_done: Vec<(usize, Vec<u8>)> = Vec::new();
 
         let t2 = Instant::now();
         type JobResult = Result<EncodedRun, CodecError>;
@@ -773,7 +574,7 @@ impl StoreWriter {
                     };
                     let t = Instant::now();
                     let result: JobResult =
-                        encode_run(codec, prep, first / n_chunks, run).map(|chunks| {
+                        prep.encode(codec, first / n_chunks, run).map(|chunks| {
                             let bytes: usize = chunks.iter().map(|(b, _)| b.len()).sum();
                             let now = resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
                             peak.fetch_max(now, Ordering::Relaxed);
@@ -789,8 +590,8 @@ impl StoreWriter {
             drop(tx);
 
             // Consumer (this thread): reorder out-of-order completions and
-            // write strictly in layout order, chunk by chunk, releasing a
-            // run's window budget once its last chunk lands in the sink.
+            // lay chunks out strictly in layout order, releasing a run's
+            // window budget once its last chunk lands in the sink.
             let mut consume = || -> Result<(), StoreError> {
                 let mut pending: BTreeMap<usize, EncodedRun> = BTreeMap::new();
                 let mut next_write = 0usize;
@@ -801,27 +602,11 @@ impl StoreWriter {
                     pending.insert(idx, result?);
                     while let Some((chunks, ns)) = pending.remove(&next_write) {
                         encode_cpu_ns += ns;
-                        let f = next_write / n_chunks;
-                        let first = next_write % n_chunks;
-                        for (c, (bytes, crc)) in (first..).zip(&chunks) {
-                            sink_write(sink, bytes, &policy, &mut rstats)?;
-                            let mut meta = prep.plan.metas[c];
-                            meta.offset = payload_pos;
-                            meta.len = bytes.len() as u64;
-                            meta.crc = *crc;
-                            entries[f].chunks.push(meta);
-                            payload_pos += bytes.len() as u64;
-                            accumulate_parity(
-                                self.options.parity,
-                                n_chunks,
-                                f,
-                                c,
-                                bytes,
-                                &mut group_acc,
-                                &mut parity_done,
-                            )?;
+                        for (bytes, crc) in &chunks {
+                            layout.push(bytes, *crc)?;
                             resident.fetch_sub(bytes.len(), Ordering::Relaxed);
                         }
+                        let first = next_write % n_chunks;
                         next_write += chunks.len();
                         {
                             let mut st = state.lock().expect("window state poisoned");
@@ -841,36 +626,11 @@ impl StoreWriter {
             out
         });
         data_phase?;
-        let payload_bytes = payload_pos as usize;
-
-        // Parity section: finished group shards, already in field-major
-        // group order because data chunks complete in layout order.
-        for (f, shard) in &parity_done {
-            entries[*f].parity.push(ParityMeta {
-                offset: payload_pos,
-                len: shard.len() as u64,
-                crc: crc32(shard),
-            });
-            sink_write(sink, shard, &policy, &mut rstats)?;
-            payload_pos += shard.len() as u64;
-        }
-        let parity_bytes = payload_pos as usize - payload_bytes;
-        let width = self.options.parity.width() as usize;
-        let parity_groups = if width > 0 {
-            n_fields * group_count(n_chunks, width)
-        } else {
-            0
-        };
-
-        // Footer, trailer, and (v4) commit record — identical bytes to
-        // `assemble`, then the sink's own durable publish.
-        let tail = container_tail(&prep.header_bytes, payload_pos, &entries);
-        sink_write(sink, &tail, &policy, &mut rstats)?;
+        let laid = layout.finish()?;
         let encode_ns = t2.elapsed().as_nanos() as u64;
         sink.flush()?;
         sink.commit()?;
 
-        let container_bytes = prep.header_bytes.len() + payload_pos as usize + tail.len();
         Ok(StoreWriteStats {
             recipe_ns: prep.recipe_ns,
             recipe_cache_hit: prep.recipe_cache_hit,
@@ -882,16 +642,15 @@ impl StoreWriter {
             n_fields,
             n_chunks,
             raw_bytes: prep.raw_bytes,
-            container_bytes,
-            payload_bytes,
-            parity_bytes,
-            parity_groups,
-            metadata_bytes: container_bytes - payload_bytes - parity_bytes,
-            streamed: true,
+            container_bytes: laid.container_bytes,
+            payload_bytes: laid.payload_bytes,
+            parity_bytes: laid.parity_bytes,
+            parity_groups: n_fields * group_count(n_chunks, self.options.parity.width() as usize),
+            metadata_bytes: laid.container_bytes - laid.payload_bytes - laid.parity_bytes,
             window_bytes: window,
             peak_buffer_bytes: peak.load(Ordering::Relaxed),
             peak_rss_bytes: process_peak_rss(),
-            retry: rstats,
+            retry: laid.retry,
         })
     }
 
@@ -910,9 +669,7 @@ impl StoreWriter {
         let mut sink = crate::sink::FileSink::create(path)?;
         self.write_to_sink(fields, &mut sink, opts)
     }
-}
 
-impl StoreWriter {
     /// [`StoreWriter::write`] followed by a crash-consistent
     /// [`persist_store`] to `path`: readers see either the previous file
     /// or the complete new store, never a torn intermediate.
@@ -966,7 +723,6 @@ mod tests {
         );
         assert!(out.stats.parity_groups > 0);
         assert!(out.stats.ratio() > 1.0);
-        assert!(!out.stats.streamed);
     }
 
     #[test]
@@ -1023,21 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn rs_output_is_byte_identical_at_any_parallelism() {
-        let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
-        let writer = StoreWriter::new(CompressionConfig::zmesh_default())
-            .with_chunk_target_bytes(1024)
-            .with_parity(Parity::Rs { data: 4, parity: 3 });
-        let parallel = writer.write(&small_fields(&ds)).unwrap();
-        let serial = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| writer.write(&small_fields(&ds)).unwrap());
-        assert_eq!(parallel.bytes, serial.bytes);
-    }
-
-    #[test]
     fn invalid_parity_geometry_is_rejected_up_front() {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
         for parity in [
@@ -1091,16 +832,33 @@ mod tests {
     #[test]
     fn output_is_byte_identical_at_any_parallelism() {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
-        let writer =
-            StoreWriter::new(CompressionConfig::zmesh_default()).with_chunk_target_bytes(1024);
-        let parallel = writer.write(&small_fields(&ds)).unwrap();
-        let serial = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| writer.write(&small_fields(&ds)).unwrap());
-        assert_eq!(parallel.bytes, serial.bytes);
-        assert!(parallel.stats.n_chunks >= 4);
+        for (parity, window_bytes) in [
+            (Parity::default(), 0),
+            (Parity::Rs { data: 4, parity: 3 }, 0),
+            (Parity::Rs { data: 3, parity: 2 }, 2048),
+        ] {
+            let writer = StoreWriter::new(CompressionConfig::zmesh_default())
+                .with_chunk_target_bytes(1024)
+                .with_parity(parity);
+            let opts = StreamOptions {
+                window_bytes,
+                ..StreamOptions::default()
+            };
+            let write = || {
+                let mut sink = VecSink::new();
+                let stats = writer
+                    .write_to_sink(&small_fields(&ds), &mut sink, &opts)
+                    .unwrap();
+                assert!(stats.n_chunks >= 4);
+                sink.into_bytes()
+            };
+            let serial = rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .unwrap()
+                .install(write);
+            assert_eq!(write(), serial, "{parity:?} window {window_bytes}");
+        }
     }
 
     #[test]
@@ -1150,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_is_byte_identical_to_buffered_for_every_scheme() {
+    fn every_window_writes_the_same_bytes_for_every_scheme() {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
         for parity in [
             Parity::None,
@@ -1160,8 +918,8 @@ mod tests {
             let writer = StoreWriter::new(CompressionConfig::zmesh_default())
                 .with_chunk_target_bytes(1024)
                 .with_parity(parity);
-            let buffered = writer.write(&small_fields(&ds)).unwrap();
-            for window in [0usize, 1024, 3 * 1024, 1 << 30] {
+            let unbounded = writer.write(&small_fields(&ds)).unwrap();
+            for window in [1024usize, 3 * 1024, 1 << 30] {
                 let mut sink = VecSink::new();
                 let stats = writer
                     .write_to_sink(
@@ -1175,15 +933,14 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     sink.bytes(),
-                    &buffered.bytes[..],
+                    &unbounded.bytes[..],
                     "{parity:?} window={window}"
                 );
-                assert!(stats.streamed);
                 assert_eq!(stats.window_bytes, window);
-                assert_eq!(stats.container_bytes, buffered.stats.container_bytes);
-                assert_eq!(stats.payload_bytes, buffered.stats.payload_bytes);
-                assert_eq!(stats.parity_bytes, buffered.stats.parity_bytes);
-                assert_eq!(stats.parity_groups, buffered.stats.parity_groups);
+                assert_eq!(stats.container_bytes, unbounded.stats.container_bytes);
+                assert_eq!(stats.payload_bytes, unbounded.stats.payload_bytes);
+                assert_eq!(stats.parity_bytes, unbounded.stats.parity_bytes);
+                assert_eq!(stats.parity_groups, unbounded.stats.parity_groups);
                 assert_eq!(stats.retry, RetryStats::default());
             }
         }
@@ -1234,33 +991,6 @@ mod tests {
         assert_eq!(unbounded.bytes(), sink.bytes());
     }
 
-    #[test]
-    fn streaming_is_byte_identical_across_thread_counts() {
-        let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
-        let writer = StoreWriter::new(CompressionConfig::zmesh_default())
-            .with_chunk_target_bytes(1024)
-            .with_parity(Parity::Rs { data: 3, parity: 2 });
-        let opts = StreamOptions {
-            window_bytes: 2048,
-            ..StreamOptions::default()
-        };
-        let mut parallel = VecSink::new();
-        writer
-            .write_to_sink(&small_fields(&ds), &mut parallel, &opts)
-            .unwrap();
-        let mut serial = VecSink::new();
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| {
-                writer
-                    .write_to_sink(&small_fields(&ds), &mut serial, &opts)
-                    .unwrap()
-            });
-        assert_eq!(parallel.bytes(), serial.bytes());
-    }
-
     #[cfg(unix)]
     #[test]
     fn write_streaming_to_path_round_trips() {
@@ -1270,7 +1000,7 @@ mod tests {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
         let writer =
             StoreWriter::new(CompressionConfig::zmesh_default()).with_chunk_target_bytes(1024);
-        let buffered = writer.write(&small_fields(&ds)).unwrap();
+        let in_memory = writer.write(&small_fields(&ds)).unwrap();
         let stats = writer
             .write_streaming_to_path(
                 &small_fields(&ds),
@@ -1281,8 +1011,8 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), buffered.bytes);
-        assert_eq!(stats.container_bytes, buffered.bytes.len());
+        assert_eq!(std::fs::read(&path).unwrap(), in_memory.bytes);
+        assert_eq!(stats.container_bytes, in_memory.bytes.len());
         assert!(!tmp_path(&path).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

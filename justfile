@@ -84,4 +84,4 @@ perfbench-trace workload seed="1" seconds="30":
 
 # Regenerate every reconstructed paper artifact.
 repro scale="small":
-    cargo run --release -p zmesh-bench --bin repro_all -- --scale {{scale}}
+    cargo run --release -p zmesh-bench --bin repro -- all --scale {{scale}}

@@ -34,7 +34,7 @@ step cargo test -q --release --workspace
 # pinned to its portable fallback (ZMESH_FORCE_SCALAR=1), in both
 # profiles — proves no behavior anywhere depends on which tier the
 # runtime probe picked. The root suite (zmesh-suite) brings the golden
-# store CRCs and the streaming ≡ buffered writer tests onto this tier.
+# store CRCs and the window-invariance writer tests onto this tier.
 step env ZMESH_FORCE_SCALAR=1 cargo test -q -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store -p zmesh-suite
 step env ZMESH_FORCE_SCALAR=1 cargo test -q --release -p zmesh-kernels -p zmesh -p zmesh-codecs -p zmesh-store -p zmesh-suite
 

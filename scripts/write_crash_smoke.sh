@@ -2,15 +2,15 @@
 # Write-crash smoke test: prove the streaming pack path is atomic under
 # every way a write can die.
 #
-#   pack golden references (buffered) for v2 / v3 / v4 parity schemes
-#     → `pack --stream` is byte-identical to buffered for every scheme
+#   pack golden references (default window) for v2 / v3 / v4 parity schemes
+#     → a pack through a 2 KiB window is byte-identical for every scheme
 #     → injected crashes (`--fault-sink crash_at=N`) across a matrix of
 #       byte offsets: exit 3, the destination is absent or the old file
 #       is byte-intact, the stranded .tmp is an exact prefix of the true
 #       container, and re-running the pack heals it
 #     → injected ENOSPC (`--fault-sink enospc_at=N`): typed exit 3, NO
 #       temp file left, destination untouched
-#     → real SIGKILL of a child `zmesh pack --stream` at varied delays:
+#     → real SIGKILL of a child `zmesh pack` at varied delays:
 #       on-disk state is always one of {absent, old-intact, committed +
 #       scrub-clean}, and a rerun converges to the golden bytes
 #
@@ -45,7 +45,7 @@ echo "==> build the testing-feature CLI"
 cargo build -q --release -p zmesh-cli --features testing --bin zmesh
 zmesh=target/release/zmesh
 
-echo "==> golden references: buffered pack per parity scheme"
+echo "==> golden references: default-window pack per parity scheme"
 "$zmesh" generate blast2d -o "$workdir/data.zmd" --scale tiny
 parities="none xor:3 rs:4,2"
 for p in $parities; do
@@ -54,11 +54,11 @@ for p in $parities; do
         --chunk-kb 1 --parity "$p"
 done
 
-echo "==> streaming pack is byte-identical to buffered (every scheme)"
+echo "==> a small window packs byte-identical stores (every scheme)"
 for p in $parities; do
     tag=$(echo "$p" | tr ':,' '__')
     "$zmesh" pack "$workdir/data.zmd" -o "$workdir/stream_$tag.zms" \
-        --chunk-kb 1 --parity "$p" --stream --window-bytes 2048 \
+        --chunk-kb 1 --parity "$p" --window-bytes 2048 \
         >"$workdir/stream_$tag.out"
     cmp "$workdir/golden_$tag.zms" "$workdir/stream_$tag.zms"
     grep -q "streamed" "$workdir/stream_$tag.out"
@@ -103,7 +103,7 @@ for p in $parities; do
             fi
             # Re-running the pack heals the stranded tmp.
             "$zmesh" pack "$workdir/data.zmd" -o "$dest" \
-                --chunk-kb 1 --parity "$p" --stream >/dev/null
+                --chunk-kb 1 --parity "$p" >/dev/null
             cmp "$golden" "$dest"
             if [ -e "$dest.tmp" ]; then
                 echo "write_crash_smoke: rerun left a stale tmp" >&2
@@ -158,7 +158,7 @@ for delay in 0 0.02 0.05 0.1 0.2 0.4; do
         rm -f "$dest" "$dest.tmp"
         [ "$old" = seeded ] && cp "$old_marker" "$dest"
         "$zmesh" pack "$workdir/big.zmd" -o "$dest" \
-            --chunk-kb 1 --parity rs:4,2 --stream --window-bytes 1024 \
+            --chunk-kb 1 --parity rs:4,2 --window-bytes 1024 \
             >/dev/null 2>&1 &
         pack_pid=$!
         sleep "$delay"
@@ -184,7 +184,7 @@ for delay in 0 0.02 0.05 0.1 0.2 0.4; do
         fi
         # Whatever the kill left behind, a rerun converges to golden.
         "$zmesh" pack "$workdir/big.zmd" -o "$dest" \
-            --chunk-kb 1 --parity rs:4,2 --stream >/dev/null
+            --chunk-kb 1 --parity rs:4,2 >/dev/null
         cmp "$workdir/big_golden.zms" "$dest"
         if [ -e "$dest.tmp" ]; then
             echo "write_crash_smoke: rerun left a stale tmp after SIGKILL" >&2

@@ -275,6 +275,50 @@ fn hostile_structure_headers_are_typed_errors() {
 }
 
 #[test]
+fn hostile_dataset_value_count_is_rejected_before_allocating() {
+    use zmesh_amr::AmrError;
+    // A Tiny `.zmd` whose first field claims 2^40 values (8 TiB): the
+    // loader must compare the count with the tree before it reserves.
+    let ds = datasets::blast2d(StorageMode::AllCells, Scale::Tiny);
+    let (fname, field) = &ds.fields[0];
+    let mut head = b"ZMD1".to_vec();
+    varint(&mut head, ds.name.len() as u64);
+    head.extend_from_slice(ds.name.as_bytes());
+    let structure = ds.tree.structure_bytes();
+    varint(&mut head, structure.len() as u64);
+    head.extend_from_slice(&structure);
+    head.push(ds.mode().tag());
+    varint(&mut head, 1);
+    varint(&mut head, fname.len() as u64);
+    head.extend_from_slice(fname.as_bytes());
+    let values: Vec<u8> = field
+        .values()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("zmesh-hostile-zmd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("hostile.zmd");
+    for (count, honest) in [(field.len() as u64, true), (1 << 40, false)] {
+        let mut bytes = head.clone();
+        varint(&mut bytes, count);
+        bytes.extend_from_slice(&values);
+        std::fs::write(&path, &bytes).expect("write dataset");
+        let got = zmesh_amr::load_dataset(&path);
+        if honest {
+            assert_eq!(
+                got.expect("honest count loads").fields[0].1.values(),
+                field.values()
+            );
+        } else {
+            assert!(matches!(got, Err(AmrError::Corrupt(_))), "{:?}", got.err());
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn hostile_base_grid_is_rejected_before_the_tree_decode() {
     // A valid store whose structure is swapped for one declaring a
     // 65535 × 65535 level-0 grid (passes the u32 cell bound; ~34 GB of cell

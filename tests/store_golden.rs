@@ -1,18 +1,20 @@
 //! Golden store bytes: the CRC-32 of whole stores written from seeded
 //! timesteps at CLI defaults (Hilbert + SZ at 1e-4 range-relative, XOR-8
-//! parity). The writer's output is a byte-level contract — repair
-//! reproduces it, and encode optimizations must not move it — so any
-//! change to these values is a format change, not a refactor.
+//! parity), plus the same timesteps without parity (v2) and under
+//! Reed–Solomon 4+2 (v4). The writer's output is a byte-level contract —
+//! repair reproduces it, and encode optimizations must not move it — so
+//! any change to these values is a format change, not a refactor.
 //!
-//! Both write paths are pinned: the buffered `write` and a streaming
-//! `write_to_sink` through a window of three chunks.
+//! Every row is written twice — by `write` (an unbounded window) and by
+//! `write_to_sink` through a window of three chunks — and both must give
+//! the pinned bytes.
 
 use std::sync::Arc;
 
 use zmesh::CompressionConfig;
 use zmesh_amr::datasets::{self, Dataset, Scale};
 use zmesh_amr::{analytic, AmrField, StorageMode};
-use zmesh_store::{StoreWriter, StreamOptions, VecSink};
+use zmesh_store::{Parity, StoreWriter, StreamOptions, VecSink};
 
 const SEED: u64 = 11;
 
@@ -35,53 +37,64 @@ fn timestep(preset: &str, n_quantities: usize) -> Dataset {
     ds
 }
 
-/// `(preset, quantities, chunk target bytes, CRC-32 of the store)`.
-const GOLDEN: [(&str, usize, u32, u32); 8] = [
-    ("blast2d", 7, 1024, 0x5dca9bac),
-    ("blast2d", 7, 64 * 1024, 0x25c450be),
-    ("blast2d", 16, 1024, 0x520faa84),
-    ("blast2d", 16, 64 * 1024, 0xae6808bb),
-    ("cluster3d", 7, 1024, 0x04ddb24e),
-    ("cluster3d", 7, 64 * 1024, 0xf668bad6),
-    ("cluster3d", 16, 1024, 0xaff3e7e0),
-    ("cluster3d", 16, 64 * 1024, 0xb846a11f),
+const XOR8: Parity = Parity::Xor { width: 8 };
+const RS42: Parity = Parity::Rs { data: 4, parity: 2 };
+
+/// `(preset, quantities, chunk target bytes, parity, CRC-32 of the store)`.
+const GOLDEN: [(&str, usize, u32, Parity, u32); 16] = [
+    ("blast2d", 7, 1024, XOR8, 0x5dca9bac),
+    ("blast2d", 7, 64 * 1024, XOR8, 0x25c450be),
+    ("blast2d", 16, 1024, XOR8, 0x520faa84),
+    ("blast2d", 16, 64 * 1024, XOR8, 0xae6808bb),
+    ("cluster3d", 7, 1024, XOR8, 0x04ddb24e),
+    ("cluster3d", 7, 64 * 1024, XOR8, 0xf668bad6),
+    ("cluster3d", 16, 1024, XOR8, 0xaff3e7e0),
+    ("cluster3d", 16, 64 * 1024, XOR8, 0xb846a11f),
+    ("blast2d", 7, 1024, Parity::None, 0x353f3ab1),
+    ("blast2d", 16, 1024, Parity::None, 0x40389e95),
+    ("cluster3d", 7, 1024, Parity::None, 0xa24793ed),
+    ("cluster3d", 16, 1024, Parity::None, 0x64c05d10),
+    ("blast2d", 7, 1024, RS42, 0x230dcd0f),
+    ("blast2d", 16, 1024, RS42, 0xa6d9d3c4),
+    ("cluster3d", 7, 1024, RS42, 0x0bfede10),
+    ("cluster3d", 16, 1024, RS42, 0x054282c8),
 ];
 
 #[test]
 fn store_bytes_match_the_golden_crcs() {
-    let mut got = Vec::new();
-    for preset in ["blast2d", "cluster3d"] {
-        let ds = timestep(preset, 16);
-        for n in [7usize, 16] {
-            let fields: Vec<_> = ds.fields[..n]
-                .iter()
-                .map(|(name, f)| (name.as_str(), f))
-                .collect();
-            for chunk in [1024u32, 64 * 1024] {
-                let writer = StoreWriter::new(CompressionConfig::zmesh_default())
-                    .with_chunk_target_bytes(chunk);
-                let buffered = writer.write(&fields).expect("buffered write");
-                let mut sink = VecSink::new();
-                let opts = StreamOptions {
-                    window_bytes: 3 * chunk as usize,
-                    ..StreamOptions::default()
-                };
-                writer
-                    .write_to_sink(&fields, &mut sink, &opts)
-                    .expect("streaming write");
-                assert!(
-                    sink.bytes() == buffered.bytes.as_slice(),
-                    "{preset} ×{n} @ {chunk} B: streaming bytes differ from buffered"
-                );
-                got.push((preset, n, chunk, zmesh::crc32(&buffered.bytes)));
-            }
-        }
-    }
-    for (want, got) in GOLDEN.iter().zip(&got) {
+    let timesteps = [
+        ("blast2d", timestep("blast2d", 16)),
+        ("cluster3d", timestep("cluster3d", 16)),
+    ];
+    for &(preset, n, chunk, parity, crc) in &GOLDEN {
+        let (_, ds) = timesteps
+            .iter()
+            .find(|(p, _)| *p == preset)
+            .expect("preset built");
+        let fields: Vec<_> = ds.fields[..n]
+            .iter()
+            .map(|(name, f)| (name.as_str(), f))
+            .collect();
+        let writer = StoreWriter::new(CompressionConfig::zmesh_default())
+            .with_chunk_target_bytes(chunk)
+            .with_parity(parity);
+        let unbounded = writer.write(&fields).expect("unbounded write");
+        let mut sink = VecSink::new();
+        let opts = StreamOptions {
+            window_bytes: 3 * chunk as usize,
+            ..StreamOptions::default()
+        };
+        writer
+            .write_to_sink(&fields, &mut sink, &opts)
+            .expect("windowed write");
+        assert!(
+            sink.bytes() == unbounded.bytes.as_slice(),
+            "{preset} ×{n} @ {chunk} B {parity:?}: windowed bytes differ from unbounded"
+        );
         assert_eq!(
-            want, got,
-            "store bytes moved: (preset, quantities, chunk bytes, crc)"
+            zmesh::crc32(&unbounded.bytes),
+            crc,
+            "store bytes moved: {preset} ×{n} @ {chunk} B {parity:?}"
         );
     }
-    assert_eq!(got.len(), GOLDEN.len());
 }

@@ -90,7 +90,6 @@ proptest! {
             sink.bytes(), &want[..],
             "parity {:?} window {} threads {}", parity, window, threads
         );
-        prop_assert!(stats.streamed);
         prop_assert_eq!(stats.retry, RetryStats::default());
         // What streamed is a real store.
         let reader = StoreReader::open(sink.bytes()).expect("open streamed store");
