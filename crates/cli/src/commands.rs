@@ -711,25 +711,6 @@ fn rebuild_torn(torn: &[u8], ds: &Dataset, args: &Args, out: &str) -> Result<(),
     Ok(())
 }
 
-/// Parses `x0,y0[,z0]:x1,y1[,z1]` into inclusive finest-grid corners.
-fn parse_bbox(spec: &str) -> Result<([u32; 3], [u32; 3]), CliError> {
-    let bad = || CliError::Usage(format!("--bbox {spec:?}: want x0,y0[,z0]:x1,y1[,z1]"));
-    let corner = |s: &str| -> Result<[u32; 3], CliError> {
-        let parts: Vec<u32> = s
-            .split(',')
-            .map(|t| t.trim().parse::<u32>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| bad())?;
-        match parts[..] {
-            [x, y] => Ok([x, y, 0]),
-            [x, y, z] => Ok([x, y, z]),
-            _ => Err(bad()),
-        }
-    };
-    let (lo, hi) = spec.split_once(':').ok_or_else(bad)?;
-    Ok((corner(lo)?, corner(hi)?))
-}
-
 /// `zmesh query <in.zms> --field <name> --bbox x0,y0[,z0]:x1,y1[,z1]
 /// [--level L[,L...]] [--salvage] [--in-memory] [-o out.csv]` — region
 /// read decoding only the overlapping chunks. With `--salvage`, corrupt
@@ -742,23 +723,19 @@ pub fn query(argv: &[String]) -> Result<(), CliError> {
         Args::parse_with_switches(argv, &["salvage", "in-memory"]).map_err(CliError::Usage)?;
     let input = positional(&args, 0, "input store (.zms)")?;
     let name = required(&args, "field")?;
-    let (lo, hi) = parse_bbox(required(&args, "bbox")?)?;
-    let mut q = Query::bbox(lo, hi);
-    if let Some(spec) = args.option("level") {
-        let levels: Vec<u32> = spec
-            .split(',')
-            .map(|t| t.trim().parse::<u32>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| CliError::Usage(format!("--level {spec:?}: want L[,L...]")))?;
-        q = q.with_levels(levels);
-    }
+    let q = Query::parse(
+        required(&args, "bbox")?,
+        args.option("level"),
+        ["--bbox", "--level"],
+    )
+    .map_err(CliError::Usage)?;
     #[cfg(unix)]
     if !args.switch("in-memory") {
         let reader = StoreReader::open_source(ranged_source(input)?)?;
-        return query_reader(reader, &args, name, &q, lo, hi);
+        return query_reader(reader, &args, name, &q);
     }
     let bytes = read_file(input)?;
-    query_reader(StoreReader::open(&bytes)?, &args, name, &q, lo, hi)
+    query_reader(StoreReader::open(&bytes)?, &args, name, &q)
 }
 
 fn query_reader<S: ByteSource>(
@@ -766,8 +743,6 @@ fn query_reader<S: ByteSource>(
     args: &Args,
     name: &str,
     q: &Query,
-    lo: [u32; 3],
-    hi: [u32; 3],
 ) -> Result<(), CliError> {
     if args.switch("salvage") {
         reader = reader.with_read_policy(ReadPolicy::salvage());
@@ -781,6 +756,7 @@ fn query_reader<S: ByteSource>(
         reader.bytes_read(),
         reader.source().len()
     );
+    let (lo, hi) = (q.bbox_lo, q.bbox_hi);
     println!(
         "field {name:?} bbox ({},{},{})..({},{},{}): {} cells | decoded {}/{} chunks{}",
         lo[0],
@@ -798,11 +774,7 @@ fn query_reader<S: ByteSource>(
         },
     );
     if let Some(out) = args.option("output") {
-        let mut csv = String::from("storage_index,value\n");
-        for (&s, &v) in result.storage_indices.iter().zip(&result.values) {
-            csv.push_str(&format!("{s},{v}\n"));
-        }
-        write_file(out, csv.as_bytes())?;
+        write_file(out, result.to_csv().as_bytes())?;
         println!("wrote {out}: {} rows", result.values.len());
     }
     Ok(())

@@ -668,41 +668,8 @@ fn info_response(entry: &CatalogEntry) -> Response {
     )
 }
 
-/// Parses `x0,y0[,z0]:x1,y1[,z1]` (same grammar as the CLI).
-fn parse_bbox(spec: &str) -> Result<([u32; 3], [u32; 3]), String> {
-    let bad = || format!("bbox {spec:?}: want x0,y0[,z0]:x1,y1[,z1]");
-    let corner = |s: &str| -> Result<[u32; 3], String> {
-        let parts: Vec<u32> = s
-            .split(',')
-            .map(|t| t.trim().parse::<u32>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| bad())?;
-        match parts[..] {
-            [x, y] => Ok([x, y, 0]),
-            [x, y, z] => Ok([x, y, z]),
-            _ => Err(bad()),
-        }
-    };
-    let (lo, hi) = spec.split_once(':').ok_or_else(bad)?;
-    Ok((corner(lo)?, corner(hi)?))
-}
-
-/// Builds a [`Query`] from the textual `field`/`bbox`/`levels` grammar
-/// shared by the GET endpoint (query parameters) and the batch endpoint
-/// (JSON fields).
-fn build_query(bbox: &str, levels: Option<&str>) -> Result<Query, String> {
-    let (lo, hi) = parse_bbox(bbox)?;
-    let mut q = Query::bbox(lo, hi);
-    if let Some(spec) = levels {
-        let levels: Result<Vec<u32>, _> =
-            spec.split(',').map(|t| t.trim().parse::<u32>()).collect();
-        match levels {
-            Ok(levels) => q = q.with_levels(levels),
-            Err(_) => return Err(format!("levels {spec:?}: want L[,L...]")),
-        }
-    }
-    Ok(q)
-}
+/// The daemon's spelling of the query arguments, for error messages.
+const QUERY_ARGS: [&str; 2] = ["bbox", "levels"];
 
 /// Per-request policy overrides: `?strict=1` pins strict reads (damage
 /// answers the raw error), `?salvage=1` opts into salvage up front.
@@ -845,7 +812,7 @@ fn query_response(
     let Some(bbox) = req.param("bbox") else {
         return Response::error(400, "bad_request", "missing query parameter: bbox");
     };
-    let q = match build_query(bbox, req.param("levels")) {
+    let q = match Query::parse(bbox, req.param("levels"), QUERY_ARGS) {
         Ok(q) => q,
         Err(e) => return Response::error(400, "bad_request", &e),
     };
@@ -869,17 +836,13 @@ fn query_response(
             }
         }
         "csv" => {
-            // Byte-identical to the CLI's `query -o` output: same format
-            // machinery, so responses can be `cmp`'d against it.
-            let mut csv = String::from("storage_index,value\n");
-            for (&s, &v) in result.storage_indices.iter().zip(&result.values) {
-                csv.push_str(&format!("{s},{v}\n"));
-            }
+            // Byte-identical to the CLI's `query -o` output by
+            // construction: both render through `QueryResult::to_csv`.
             Response {
                 status: 200,
                 content_type: "text/csv",
                 extra: Vec::new(),
-                body: csv.into_bytes(),
+                body: result.to_csv().into_bytes(),
             }
         }
         "json" => {
@@ -999,8 +962,7 @@ fn batch_item_query(item: &Json) -> Result<(String, Query), String> {
         .get("bbox")
         .and_then(Json::as_str)
         .ok_or("query item wants a \"bbox\" string")?;
-    let (lo, hi) = parse_bbox(bbox)?;
-    let mut q = Query::bbox(lo, hi);
+    let mut q = Query::parse(bbox, None, QUERY_ARGS)?;
     if let Some(levels) = item.get("levels") {
         let levels: Vec<u32> = levels
             .as_arr()
@@ -1028,15 +990,6 @@ mod tests {
         assert_eq!(parse_store_path("/stores/a"), None);
         assert_eq!(parse_store_path("/stores/a/b/c"), None);
         assert_eq!(parse_store_path("/catalog"), None);
-    }
-
-    #[test]
-    fn bbox_grammar_matches_the_cli() {
-        assert_eq!(parse_bbox("0,0:7,7"), Ok(([0, 0, 0], [7, 7, 0])));
-        assert_eq!(parse_bbox("1,2,3:4,5,6"), Ok(([1, 2, 3], [4, 5, 6])));
-        assert!(parse_bbox("1,2").is_err());
-        assert!(parse_bbox("a,b:c,d").is_err());
-        assert!(parse_bbox("1:2").is_err());
     }
 
     #[test]

@@ -50,8 +50,11 @@
 use crate::chunk::{ChunkMeta, CHUNK_META_BYTES};
 use crate::gf256;
 use crate::parity::{group_count, Parity, ParityMeta, PARITY_META_BYTES};
+use crate::reader::{RetryCounters, RetryPolicy};
 use crate::source::{self, ByteSource, SliceSource};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 use zmesh::{crc32, GroupingMode, OrderingPolicy, ZmeshError};
 use zmesh_amr::{AmrError, StorageMode};
 use zmesh_codecs::{CodecError, CodecKind, ErrorControl, ValueType};
@@ -327,6 +330,131 @@ pub struct FieldEntry {
     pub parity: Vec<ParityMeta>,
 }
 
+/// Which chunk of a field a footer record, scrub or repair record points
+/// at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkKind {
+    /// Data chunk `i` (stream order).
+    Data(usize),
+    /// Parity slot `s` — group `s / shards`, shard `s % shards` (v3 has
+    /// one shard per group, so slot = group).
+    Parity(usize),
+}
+
+impl FieldEntry {
+    /// Payload-relative `(offset, len, crc)` footer record of `kind`.
+    fn record(&self, kind: ChunkKind) -> Result<(u64, u64, u32), StoreError> {
+        match kind {
+            ChunkKind::Data(i) => {
+                let m = &self.chunks[i];
+                Ok((m.offset, m.len, m.crc))
+            }
+            ChunkKind::Parity(slot) => self
+                .parity
+                .get(slot)
+                .map(|m| (m.offset, m.len, m.crc))
+                .ok_or(StoreError::Corrupt("parity group out of range")),
+        }
+    }
+}
+
+/// The span verifier every consumer of payload bytes shares — reader
+/// decodes and salvage, scrub, repair and torn-store salvage: a footer
+/// span must lie inside `payload`, fetch (transient failures retried
+/// under `retry`) and match its footer CRC ([`Spans::verify`]).
+pub(crate) struct Spans<'a, S: ?Sized> {
+    src: &'a S,
+    /// Absolute bytes the footer's payload-relative offsets index into.
+    payload: Range<u64>,
+    /// Parity shards per group (at least 1: it divides slots into groups).
+    pub shards: usize,
+    retry: RetryPolicy,
+    counters: &'a RetryCounters,
+}
+
+impl<'a, S: ByteSource + ?Sized> Spans<'a, S> {
+    pub fn new(
+        src: &'a S,
+        payload: Range<u64>,
+        scheme: Parity,
+        retry: RetryPolicy,
+        counters: &'a RetryCounters,
+    ) -> Self {
+        let shards = (scheme.shards() as usize).max(1);
+        Self {
+            src,
+            payload,
+            shards,
+            retry,
+            counters,
+        }
+    }
+
+    /// Bounds-checked absolute byte range of `kind`'s span.
+    pub fn range(&self, entry: &FieldEntry, kind: ChunkKind) -> Result<Range<u64>, StoreError> {
+        let (offset, len, _) = entry.record(kind)?;
+        let Range { start, end } = self.payload;
+        let lo = start
+            .checked_add(offset)
+            .ok_or(StoreError::Corrupt("chunk offset overflow"))?;
+        let hi = lo
+            .checked_add(len)
+            .ok_or(StoreError::Corrupt("chunk length overflow"))?;
+        if hi > end {
+            return Err(StoreError::Truncated {
+                needed: hi as usize,
+                have: end as usize,
+            });
+        }
+        Ok(lo..hi)
+    }
+
+    /// Saturated byte range of `kind`'s span, for damage reports (never
+    /// trusted for slicing).
+    pub fn report_range(&self, entry: &FieldEntry, kind: ChunkKind) -> Range<usize> {
+        let (offset, len, _) = entry.record(kind).unwrap_or_default();
+        let Range { start, end } = self.payload;
+        let lo = start.saturating_add(offset).min(end);
+        lo as usize..lo.saturating_add(len).min(end) as usize
+    }
+
+    /// The CRC-verified bytes of `kind` — borrowed zero-copy from resident
+    /// sources, read otherwise.
+    pub fn get(&self, entry: &FieldEntry, kind: ChunkKind) -> Result<Cow<'a, [u8]>, StoreError> {
+        let range = self.range(entry, kind)?;
+        let bytes = self.retry.run(self.counters, || {
+            source::fetch(self.src, range.start, range.end - range.start)
+        })?;
+        self.verify(entry, kind, &bytes)?;
+        Ok(bytes)
+    }
+
+    /// The one place a chunk or parity CRC is compared against the
+    /// footer: `Ok` when `bytes` are exactly what the footer recorded for
+    /// `kind`, else the typed [`StoreError::ChunkCrc`] /
+    /// [`StoreError::ParityCrc`].
+    pub fn verify(
+        &self,
+        entry: &FieldEntry,
+        kind: ChunkKind,
+        bytes: &[u8],
+    ) -> Result<(), StoreError> {
+        if crc32(bytes) == entry.record(kind)?.2 {
+            return Ok(());
+        }
+        Err(match kind {
+            ChunkKind::Data(chunk) => StoreError::ChunkCrc {
+                field: entry.name.clone(),
+                chunk,
+            },
+            ChunkKind::Parity(slot) => StoreError::ParityCrc {
+                field: entry.name.clone(),
+                group: slot / self.shards,
+            },
+        })
+    }
+}
+
 pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -511,13 +639,16 @@ pub(crate) fn read_footer(bytes: &[u8], version: u16) -> Result<Vec<FieldEntry>,
             .to_string();
         let control_tag = c.u8()?;
         let control_bits = c.u64()?;
+        // The codecs reject these bounds at encode, so no writer emits
+        // them; a footer that carries one is damaged, and would otherwise
+        // surface as a non-finite number in the daemon's JSON.
+        let value = f64::from_bits(control_bits);
         let (resolved_bound, control) = match control_tag {
             0 => (None, None),
-            1 => (Some(f64::from_bits(control_bits)), None),
-            2 => (
-                None,
-                Some(ErrorControl::FixedRate(f64::from_bits(control_bits))),
-            ),
+            1 if value.is_finite() && value >= 0.0 => (Some(value), None),
+            1 => return Err(StoreError::Corrupt("resolved bound not finite and >= 0")),
+            2 if value.is_finite() && value > 0.0 => (None, Some(ErrorControl::FixedRate(value))),
+            2 => return Err(StoreError::Corrupt("fixed rate not finite and > 0")),
             3 => {
                 let p = u32::try_from(control_bits)
                     .map_err(|_| StoreError::Corrupt("fixed-precision payload"))?;
@@ -756,24 +887,7 @@ pub fn open_source<S: ByteSource + ?Sized>(
         });
     }
     let header = read_header_source(src, body_len)?;
-    let trailer = src.read_vec(body_len - TRAILER_BYTES as u64, TRAILER_BYTES)?;
-    if trailer[12..16] != INDEX_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
-    let stored_crc = u32::from_le_bytes(trailer[8..12].try_into().unwrap());
-    let footer_end = body_len - TRAILER_BYTES as u64;
-    if footer_offset < header.header_bytes as u64 || footer_offset > footer_end {
-        return Err(StoreError::Corrupt("footer offset out of range"));
-    }
-    let header_raw = source::fetch(src, 0, header.header_bytes as u64)?;
-    let footer_raw = source::fetch(src, footer_offset, footer_end - footer_offset)?;
-    let mut crc_bytes = header_raw.into_owned();
-    crc_bytes.extend_from_slice(&footer_raw);
-    if crc32(&crc_bytes) != stored_crc {
-        return Err(StoreError::IndexCrc);
-    }
-    let fields = read_footer(&footer_raw, header.version)?;
+    let (fields, footer_offset) = read_index(src, &header, body_len)?;
     let width = header.parity_group_width as usize;
     let shards = header.scheme().shards() as usize;
     for field in &fields {
@@ -788,6 +902,35 @@ pub fn open_source<S: ByteSource + ?Sized>(
     }
     let payload = header.header_bytes as u64..footer_offset;
     Ok((header, fields, payload))
+}
+
+/// Reads the index whose trailer ends at byte `trailer_end`: the footer
+/// it points at, verified against the trailer's `crc32(header ∥ footer)`
+/// and parsed. Returns the fields and the footer offset (where the
+/// payload ends). Torn-store salvage probes candidate trailers with it.
+pub(crate) fn read_index<S: ByteSource + ?Sized>(
+    src: &S,
+    header: &StoreHeader,
+    trailer_end: u64,
+) -> Result<(Vec<FieldEntry>, u64), StoreError> {
+    let footer_end = trailer_end - TRAILER_BYTES as u64;
+    let trailer = src.read_vec(footer_end, TRAILER_BYTES)?;
+    if trailer[12..16] != INDEX_MAGIC {
+        return Err(StoreError::BadMagic);
+    }
+    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
+    let stored_crc = u32::from_le_bytes(trailer[8..12].try_into().unwrap());
+    if footer_offset < header.header_bytes as u64 || footer_offset > footer_end {
+        return Err(StoreError::Corrupt("footer offset out of range"));
+    }
+    let header_raw = source::fetch(src, 0, header.header_bytes as u64)?;
+    let footer_raw = source::fetch(src, footer_offset, footer_end - footer_offset)?;
+    let mut crc_bytes = header_raw.into_owned();
+    crc_bytes.extend_from_slice(&footer_raw);
+    if crc32(&crc_bytes) != stored_crc {
+        return Err(StoreError::IndexCrc);
+    }
+    Ok((read_footer(&footer_raw, header.version)?, footer_offset))
 }
 
 /// Whether `bytes` looks like a v2 store (magic check only).

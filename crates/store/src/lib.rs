@@ -1,8 +1,8 @@
 //! # zmesh-store — chunked, indexed, random-access containers
 //!
 //! The core [`zmesh`] container (v1) compresses each field as one opaque
-//! payload: reading anything means decoding everything. This crate adds a
-//! **v2 container** built for partial reads:
+//! payload: reading anything means decoding everything. This crate adds
+//! the **store** (formats v2–v4), built for partial reads and self-healing:
 //!
 //! - the reordered stream is framed into fixed-target-size **chunks**, each
 //!   compressed independently with its own CRC;
@@ -10,22 +10,27 @@
 //!   mask, and bounding box it covers;
 //! - a [`StoreReader`] answers bounding-box / level queries by decomposing
 //!   the box into space-filling-curve ranges ([`zmesh_sfc::bbox_ranges_2d`])
-//!   and decoding **only the overlapping chunks**, in parallel;
+//!   and decoding **only the overlapping chunks**, in parallel, from any
+//!   [`ByteSource`] (in memory, or ranged reads of a [`FileSource`]);
 //! - a [`RecipeCache`] keyed by the tree structure makes multi-field and
 //!   time-series writes reuse one restore recipe — hits are verified
 //!   against the structure bytes, so a hash collision can never hand out
 //!   the wrong permutation;
+//! - chunks are protected per group by [`Parity`]: XOR (v3, the default;
+//!   one erasure per group), GF(2^8) Reed–Solomon (v4, up to `m` erasures
+//!   per group, plus a commit record that makes a torn write detectable)
+//!   or none (v2);
 //! - reads run under a [`ReadPolicy`]: `Strict` (default) fails on the
 //!   first integrity error, `Salvage` first rebuilds corrupt chunks from
-//!   their XOR parity group (v3) and only then skips, returning the
-//!   surviving cells plus a [`DamageReport`] naming exactly what was
-//!   repaired or lost;
-//! - the **v3 format** protects chunks with per-group XOR parity (default
-//!   8 data + 1 parity, configurable via [`StoreWriteOptions`]); [`scrub`]
-//!   audits every chunk's CRC without decoding and [`repair`] rewrites a
-//!   damaged store back to byte-identity with the original (optionally
-//!   pulling chunks parity cannot reach from a replica). v2 stores stay
-//!   fully readable — they simply have no parity to heal from.
+//!   their parity group and only then skips, returning the surviving
+//!   cells plus a [`DamageReport`] naming exactly what was repaired or
+//!   lost;
+//! - [`scrub`] audits every chunk's CRC without decoding, [`repair`]
+//!   rewrites a damaged store back to byte-identity with the original
+//!   (parity, then a replica or the raw data), and [`salvage_torn`] keeps
+//!   the intact prefix of a torn v4 write. Salvage reads, scrub, repair and
+//!   torn salvage share one span verifier and one parity-group recovery,
+//!   so they agree on what parity can heal.
 //!
 //! The zMesh invariant is preserved: no permutation data is stored. Chunk
 //! framing is by value count, so the index is byte-identical across
@@ -71,8 +76,8 @@ pub use cache::{CacheStats, RecipeCache};
 pub use chunk::{plan_chunks, ChunkMeta, ChunkPlan, CHUNK_META_BYTES, DEFAULT_CHUNK_TARGET_BYTES};
 pub use chunk_cache::{ChunkCache, ChunkCacheStats, ChunkKey, ChunkValues};
 pub use format::{
-    is_store, open as open_parts, open_source as open_parts_source, peek_header, FieldEntry,
-    StoreCapabilities, StoreError, StoreHeader, COMMIT_MAGIC, COMMIT_RECORD_BYTES,
+    is_store, open as open_parts, open_source as open_parts_source, peek_header, ChunkKind,
+    FieldEntry, StoreCapabilities, StoreError, StoreHeader, COMMIT_MAGIC, COMMIT_RECORD_BYTES,
     MIN_STORE_VERSION, STORE_MAGIC, STORE_VERSION, TRAILER_BYTES,
 };
 pub use parity::{Parity, ParityMeta, DEFAULT_PARITY_GROUP_WIDTH, PARITY_META_BYTES};
@@ -82,8 +87,8 @@ pub use reader::{
 };
 pub use repair::{
     json_escape, repair, repair_with, repair_with_sources, salvage_torn, scrub, scrub_source,
-    ChunkKind, LostChunk, RawSource, RepairOutcome, RepairSource, RepairedChunk, ScrubChunk,
-    ScrubReport, TornSalvage,
+    LostChunk, RawSource, RepairOutcome, RepairSource, RepairedChunk, ScrubChunk, ScrubReport,
+    TornSalvage,
 };
 #[cfg(unix)]
 pub use sink::FileSink;

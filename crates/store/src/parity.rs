@@ -21,8 +21,10 @@
 //! Everything here is pure byte math over untrusted input: helpers return
 //! `Option`/`Result`, never panic.
 
-use crate::format::{put_u32, put_u64, Cursor, StoreError};
+use crate::format::{put_u32, put_u64, ChunkKind, Cursor, FieldEntry, Spans, StoreError};
 use crate::gf256;
+use crate::source::ByteSource;
+use std::borrow::Cow;
 
 /// Erasure-protection scheme of a store: what the writer emits and what a
 /// parsed header reports ([`crate::StoreHeader::scheme`]).
@@ -80,6 +82,64 @@ impl Parity {
             Parity::Xor { .. } => 3,
             Parity::Rs { .. } => 4,
         }
+    }
+
+    /// The erasure budget: whether a group with `missing` damaged data
+    /// chunks and `intact` CRC-clean parity shards can be rebuilt. Each
+    /// erasure needs one intact shard, and no group heals more than the
+    /// scheme's [`Parity::shards`].
+    pub(crate) fn heals(&self, missing: usize, intact: usize) -> bool {
+        *self != Parity::None && missing <= intact.min(self.shards() as usize)
+    }
+
+    /// Rebuilds the missing members of parity group `group` of `entry` —
+    /// the one recovery every self-healing path shares. `members` holds
+    /// the group's CRC-clean payloads in chunk order (`None` = missing);
+    /// the group's parity shards are fetched through `spans`, and only
+    /// when the group fits the budget of all its shards. Returns
+    /// `(chunk index, bytes)` for exactly the rebuilds that match their
+    /// footer CRC: recovery can repair, never fabricate.
+    pub(crate) fn recover<S: ByteSource + ?Sized>(
+        &self,
+        spans: &Spans<'_, S>,
+        entry: &FieldEntry,
+        group: usize,
+        members: &[Option<&[u8]>],
+    ) -> Vec<(usize, Vec<u8>)> {
+        let m = self.shards() as usize;
+        let missing = members.iter().filter(|p| p.is_none()).count();
+        if missing == 0 || !self.heals(missing, m) {
+            return Vec::new();
+        }
+        let first = group * self.width() as usize;
+        let shards: Vec<Option<Cow<'_, [u8]>>> = (group * m..(group + 1) * m)
+            .map(|slot| spans.get(entry, ChunkKind::Parity(slot)).ok())
+            .collect();
+        let rebuilt = match self {
+            Parity::None => None,
+            Parity::Xor { .. } => members
+                .iter()
+                .position(Option::is_none)
+                .zip(shards[0].as_deref())
+                .and_then(|(lost, parity)| {
+                    let len = entry.chunks[first + lost].len as usize;
+                    let bytes = reconstruct(parity, members.iter().flatten().copied(), len)?;
+                    Some(vec![(lost, bytes)])
+                }),
+            Parity::Rs { .. } => {
+                let lens: Vec<usize> = (first..first + members.len())
+                    .map(|c| entry.chunks[c].len as usize)
+                    .collect();
+                let shards: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
+                gf256::rs_recover(members, &shards, &lens)
+            }
+        };
+        rebuilt
+            .into_iter()
+            .flatten()
+            .map(|(local, bytes)| (first + local, bytes))
+            .filter(|(i, bytes)| spans.verify(entry, ChunkKind::Data(*i), bytes).is_ok())
+            .collect()
     }
 
     /// Rejects geometries the format cannot represent.
@@ -202,7 +262,7 @@ pub fn build_group_parity<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> V
 /// `None` when the recorded length exceeds what the parity chunk can carry
 /// (an inconsistent footer — reconstruction would be meaningless). The
 /// caller must still verify the result against the member's stored CRC.
-pub fn reconstruct<'a>(
+fn reconstruct<'a>(
     parity: &[u8],
     siblings: impl IntoIterator<Item = &'a [u8]>,
     target_len: usize,

@@ -12,14 +12,13 @@
 
 use crate::cache::RecipeCache;
 use crate::chunk_cache::{ChunkCache, ChunkKey, ChunkValues, Claim};
-use crate::format::{self, FieldEntry, StoreError, StoreHeader};
-use crate::gf256;
-use crate::parity::{group_members, group_of, reconstruct, Parity, ParityMeta};
-use crate::source::{self, ByteSource, SliceSource};
+use crate::format::{self, ChunkKind, FieldEntry, Spans, StoreError, StoreHeader};
+use crate::parity::{group_members, group_of, Parity};
+use crate::source::{ByteSource, SliceSource};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
-use zmesh::{codec_for, crc32, GroupingMode, RestoreRecipe};
+use zmesh::{codec_for, GroupingMode, RestoreRecipe};
 use zmesh_amr::{AmrField, AmrTree, Cell, Dim};
 use zmesh_sfc::{bbox_ranges_2d, bbox_ranges_3d};
 
@@ -390,6 +389,37 @@ impl Query {
             .fold(0, |m, l| m | (1 << l));
         self
     }
+
+    /// Parses the textual query grammar the CLI and the daemon share: a
+    /// box `x0,y0[,z0]:x1,y1[,z1]` (a missing `z` is 0) and an optional
+    /// level list `L[,L...]`. Errors name the malformed argument by the
+    /// caller's spelling, `names = [bbox, levels]`.
+    pub fn parse(bbox: &str, levels: Option<&str>, names: [&str; 2]) -> Result<Self, String> {
+        let bad = || format!("{} {bbox:?}: want x0,y0[,z0]:x1,y1[,z1]", names[0]);
+        let corner = |s: &str| -> Result<[u32; 3], String> {
+            let parts: Vec<u32> = s
+                .split(',')
+                .map(|t| t.trim().parse::<u32>())
+                .collect::<Result<_, _>>()
+                .map_err(|_| bad())?;
+            match parts[..] {
+                [x, y] => Ok([x, y, 0]),
+                [x, y, z] => Ok([x, y, z]),
+                _ => Err(bad()),
+            }
+        };
+        let (lo, hi) = bbox.split_once(':').ok_or_else(bad)?;
+        let query = Self::bbox(corner(lo)?, corner(hi)?);
+        let Some(spec) = levels else {
+            return Ok(query);
+        };
+        let levels: Vec<u32> = spec
+            .split(',')
+            .map(|t| t.trim().parse::<u32>())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("{} {spec:?}: want L[,L...]", names[1]))?;
+        Ok(query.with_levels(levels))
+    }
 }
 
 /// Output of [`StoreReader::query`].
@@ -410,17 +440,70 @@ pub struct QueryResult {
     pub damage: DamageReport,
 }
 
-/// Default bound on coalesced read groups in flight ahead of decode.
-const DEFAULT_PREFETCH_WINDOW: usize = 2;
+impl QueryResult {
+    /// The selected cells as `storage_index,value` CSV rows under a
+    /// header line — what `zmesh query -o` writes and the daemon's
+    /// `format=csv` answers.
+    pub fn to_csv(&self) -> String {
+        let mut csv = String::from("storage_index,value\n");
+        for (&s, &v) in self.storage_indices.iter().zip(&self.values) {
+            csv.push_str(&format!("{s},{v}\n"));
+        }
+        csv
+    }
+}
+
+/// Coalesced read groups the prefetcher keeps in flight ahead of decode.
+const PREFETCH_WINDOW: usize = 2;
 /// Never grow a coalesced read past this size (a single oversized chunk
 /// still gets one read — chunks are never split).
 const MAX_COALESCED_BYTES: u64 = 4 << 20;
+
+/// A chunk after salvage: its index and values, `None` when lost.
+type Settled = (usize, Option<ChunkValues>);
 
 /// One coalesced read: a contiguous byte range covering the payloads of
 /// `members` (positions into the caller's chunk-id list).
 struct ReadGroup {
     range: Range<u64>,
     members: Vec<usize>,
+}
+
+/// Sorts the selected chunks' byte ranges and merges exactly adjacent
+/// ones (capped at [`MAX_COALESCED_BYTES`]) into contiguous read groups.
+/// Chunks whose recorded span is invalid are reported through `results`
+/// instead of joining a group.
+fn coalesce<S: ByteSource + ?Sized>(
+    spans: &Spans<'_, S>,
+    entry: &FieldEntry,
+    ids: &[usize],
+    results: &mut [Option<Result<ChunkValues, StoreError>>],
+) -> Vec<ReadGroup> {
+    let mut ranges: Vec<(usize, Range<u64>)> = Vec::with_capacity(ids.len());
+    for (pos, &i) in ids.iter().enumerate() {
+        match spans.range(entry, ChunkKind::Data(i)) {
+            Ok(range) => ranges.push((pos, range)),
+            Err(e) => results[pos] = Some(Err(e)),
+        }
+    }
+    ranges.sort_by_key(|a| (a.1.start, a.1.end));
+    let mut groups: Vec<ReadGroup> = Vec::new();
+    for (pos, range) in ranges {
+        match groups.last_mut() {
+            Some(g)
+                if range.start <= g.range.end
+                    && range.end.max(g.range.end) - g.range.start <= MAX_COALESCED_BYTES =>
+            {
+                g.range.end = g.range.end.max(range.end);
+                g.members.push(pos);
+            }
+            _ => groups.push(ReadGroup {
+                range,
+                members: vec![pos],
+            }),
+        }
+    }
+    groups
 }
 
 /// A parsed, validated view over a serialized v2/v3/v4 store, generic
@@ -439,8 +522,6 @@ pub struct StoreReader<S> {
     tree: Arc<AmrTree>,
     recipe: Arc<RestoreRecipe>,
     policy: ReadPolicy,
-    prefetch_window: usize,
-    coalesce_gap: u64,
     chunk_cache: Option<(Arc<ChunkCache>, u64)>,
     retry: RetryPolicy,
     retry_counters: RetryCounters,
@@ -555,8 +636,6 @@ impl<S: ByteSource> StoreReader<S> {
             tree,
             recipe,
             policy: ReadPolicy::Strict,
-            prefetch_window: DEFAULT_PREFETCH_WINDOW,
-            coalesce_gap: 0,
             chunk_cache: None,
             retry,
             retry_counters,
@@ -567,23 +646,6 @@ impl<S: ByteSource> StoreReader<S> {
     /// [`ReadPolicy::Strict`]).
     pub fn with_read_policy(mut self, policy: ReadPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets how many coalesced read groups the prefetcher keeps in flight
-    /// ahead of decode (default 2; clamped to ≥ 1). Only affects ranged
-    /// sources — zero-copy sources decode in place.
-    pub fn with_prefetch_window(mut self, window: usize) -> Self {
-        self.prefetch_window = window.max(1);
-        self
-    }
-
-    /// Sets the maximum byte gap bridged when coalescing adjacent chunk
-    /// ranges into one read (default 0: only exactly-adjacent ranges
-    /// merge). Bridging small gaps trades a few wasted bytes for fewer
-    /// read calls.
-    pub fn with_coalesce_gap(mut self, gap: u64) -> Self {
-        self.coalesce_gap = gap;
         self
     }
 
@@ -678,170 +740,41 @@ impl<S: ByteSource> StoreReader<S> {
         lo..hi
     }
 
-    /// Saturated byte range of a payload-relative span within the store
-    /// buffer, for damage reports (never trusted for slicing).
-    fn report_range(&self, offset: u64, len: u64) -> Range<usize> {
-        let lo = self
-            .payload
-            .start
-            .saturating_add(offset)
-            .min(self.payload.end);
-        let hi = lo.saturating_add(len).min(self.payload.end);
-        lo as usize..hi as usize
+    /// The shared span verifier over this reader's source, under its
+    /// retry policy.
+    fn spans(&self) -> Spans<'_, S> {
+        let scheme = self.header.scheme();
+        Spans::new(
+            &self.source,
+            self.payload.clone(),
+            scheme,
+            self.retry,
+            &self.retry_counters,
+        )
     }
 
-    /// Byte range of chunk `i` of `entry` within the store buffer, for
-    /// damage reports (saturated; never trusted for slicing).
-    fn chunk_byte_range(&self, entry: &FieldEntry, i: usize) -> Range<usize> {
-        let meta = &entry.chunks[i];
-        self.report_range(meta.offset, meta.len)
-    }
-
-    /// Records chunk `i` of `entry` as damaged (repaired or lost).
-    fn damaged(
-        &self,
-        entry: &FieldEntry,
-        i: usize,
-        error: StoreError,
-        status: DamageStatus,
-    ) -> DamagedChunk {
-        DamagedChunk {
-            field: entry.name.clone(),
-            chunk: i,
-            byte_range: self.chunk_byte_range(entry, i),
-            values_lost: match status {
-                DamageStatus::Repaired => 0,
-                DamageStatus::Lost => self.stream_range(i).len(),
-            },
-            error,
-            status,
-        }
-    }
-
-    /// Bounds-checked absolute byte range for a (payload-relative) span.
-    fn payload_range(&self, offset: u64, len: u64) -> Result<Range<u64>, StoreError> {
-        let lo = self
-            .payload
-            .start
-            .checked_add(offset)
-            .ok_or(StoreError::Corrupt("chunk offset overflow"))?;
-        let hi = lo
-            .checked_add(len)
-            .ok_or(StoreError::Corrupt("chunk length overflow"))?;
-        if hi > self.payload.end {
-            return Err(StoreError::Truncated {
-                needed: hi as usize,
-                have: self.payload.end as usize,
-            });
-        }
-        Ok(lo..hi)
-    }
-
-    /// Bounds-checked payload bytes for a (payload-relative) span —
-    /// borrowed zero-copy from resident sources, read otherwise.
-    fn payload_slice(&self, offset: u64, len: u64) -> Result<Cow<'_, [u8]>, StoreError> {
-        let range = self.payload_range(offset, len)?;
-        self.retry.run(&self.retry_counters, || {
-            source::fetch(&self.source, range.start, range.end - range.start)
-        })
-    }
-
-    /// CRC-verified compressed payload of chunk `i` of `entry`.
-    fn chunk_payload(&self, entry: &FieldEntry, i: usize) -> Result<Cow<'_, [u8]>, StoreError> {
-        let meta = &entry.chunks[i];
-        let payload = self.payload_slice(meta.offset, meta.len)?;
-        if crc32(&payload) != meta.crc {
-            return Err(StoreError::ChunkCrc {
-                field: entry.name.clone(),
-                chunk: i,
-            });
-        }
-        Ok(payload)
-    }
-
-    /// Parity shards per group (`1` for v3 XOR) — the divisor that turns a
-    /// parity *slot* index (`g·m + j`) back into a group index.
-    fn parity_shards(&self) -> usize {
-        (self.header.scheme().shards() as usize).max(1)
-    }
-
-    /// CRC-verified parity payload at *slot* `slot` of `entry` (slot =
-    /// group for v3, `g·m + j` for v4).
-    fn parity_payload(&self, entry: &FieldEntry, slot: usize) -> Result<Cow<'_, [u8]>, StoreError> {
-        let meta: &ParityMeta = entry
-            .parity
-            .get(slot)
-            .ok_or(StoreError::Corrupt("parity group out of range"))?;
-        let payload = self.payload_slice(meta.offset, meta.len)?;
-        if crc32(&payload) != meta.crc {
-            return Err(StoreError::ParityCrc {
-                field: entry.name.clone(),
-                group: slot / self.parity_shards(),
-            });
-        }
-        Ok(payload)
-    }
-
-    /// Attempts to rebuild chunk `i` of `entry` from its parity group and
-    /// decode it. XOR (v3) needs the parity chunk and *every* sibling
-    /// intact; Reed–Solomon (v4) tolerates up to `m` failing members per
-    /// group as long as enough shards survive. Either way the rebuilt
-    /// bytes must match the chunk's stored CRC (the footer is index-CRC
-    /// protected, so that CRC is trustworthy) and the decode must yield
-    /// the framed value count — reconstruction can repair, never
-    /// fabricate.
+    /// Attempts to rebuild chunk `i` of `entry` from its parity group
+    /// ([`crate::Parity::recover`]: XOR heals one missing member per
+    /// group, Reed–Solomon up to `m`) and decode it. The rebuilt bytes
+    /// match the chunk's footer CRC and the decode must still yield the
+    /// framed value count.
     fn reconstruct_chunk(&self, entry: &FieldEntry, i: usize) -> Option<Vec<f64>> {
-        let rebuilt = match self.header.scheme() {
-            Parity::None => return None,
-            Parity::Xor { width } => {
-                let width = width as usize;
-                let g = group_of(i, width);
-                let parity = self.parity_payload(entry, g).ok()?;
-                let mut siblings = Vec::with_capacity(width.saturating_sub(1));
-                for c in group_members(g, width, entry.chunks.len()) {
-                    if c == i {
-                        continue;
-                    }
-                    siblings.push(self.chunk_payload(entry, c).ok()?);
-                }
-                reconstruct(
-                    &parity,
-                    siblings.iter().map(|s| s.as_ref()),
-                    entry.chunks[i].len as usize,
-                )?
-            }
-            Parity::Rs { data, parity: m } => {
-                let (k, m) = (data as usize, m as usize);
-                let g = group_of(i, k);
-                let members = group_members(g, k, entry.chunks.len());
-                let states: Vec<Option<Cow<'_, [u8]>>> = members
-                    .clone()
-                    .map(|c| self.chunk_payload(entry, c).ok())
-                    .collect();
-                let state_refs: Vec<Option<&[u8]>> = states.iter().map(|s| s.as_deref()).collect();
-                let lens: Vec<usize> = members
-                    .clone()
-                    .map(|c| entry.chunks[c].len as usize)
-                    .collect();
-                let shards: Vec<Option<Cow<'_, [u8]>>> = (0..m)
-                    .map(|j| self.parity_payload(entry, g * m + j).ok())
-                    .collect();
-                let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
-                let rebuilt = gf256::rs_recover(&state_refs, &shard_refs, &lens)?;
-                let local = i - members.start;
-                rebuilt.into_iter().find(|&(idx, _)| idx == local)?.1
-            }
-        };
-        let meta = &entry.chunks[i];
-        if crc32(&rebuilt) != meta.crc {
+        let scheme = self.header.scheme();
+        if scheme == Parity::None {
             return None;
         }
-        let codec = codec_for(self.header.codec);
-        let values = codec.decompress(&rebuilt).ok()?;
-        if values.len() != self.stream_range(i).len() {
-            return None;
-        }
-        Some(values)
+        let width = scheme.width() as usize;
+        let g = group_of(i, width);
+        let spans = self.spans();
+        let members: Vec<Option<Cow<'_, [u8]>>> = group_members(g, width, entry.chunks.len())
+            .map(|c| (c != i).then(|| spans.get(entry, ChunkKind::Data(c)).ok())?)
+            .collect();
+        let members: Vec<Option<&[u8]>> = members.iter().map(|m| m.as_deref()).collect();
+        let (_, rebuilt) = scheme
+            .recover(&spans, entry, g, &members)
+            .into_iter()
+            .find(|&(c, _)| c == i)?;
+        self.decode_verified(i, &rebuilt).ok()
     }
 
     /// The cell behind a storage index under the store's grouping.
@@ -854,73 +787,15 @@ impl<S: ByteSource> StoreReader<S> {
         }
     }
 
-    /// Verifies and decodes chunk `i` of `entry` from already-fetched
-    /// payload bytes.
-    fn decode_chunk_bytes(
-        &self,
-        entry: &FieldEntry,
-        i: usize,
-        payload: &[u8],
-    ) -> Result<Vec<f64>, StoreError> {
-        let meta = &entry.chunks[i];
-        if crc32(payload) != meta.crc {
-            return Err(StoreError::ChunkCrc {
-                field: entry.name.clone(),
-                chunk: i,
-            });
-        }
+    /// Decodes chunk `i` from payload bytes that already passed the span
+    /// verifier, checking the decoded value count against the framing.
+    fn decode_verified(&self, i: usize, payload: &[u8]) -> Result<Vec<f64>, StoreError> {
         let codec = codec_for(self.header.codec);
         let values = codec.decompress(payload)?;
         if values.len() != self.stream_range(i).len() {
             return Err(StoreError::Corrupt("chunk value count mismatches framing"));
         }
         Ok(values)
-    }
-
-    /// Decodes one chunk of `entry`, verifying its CRC and length.
-    fn decode_chunk(&self, entry: &FieldEntry, i: usize) -> Result<Vec<f64>, StoreError> {
-        let meta = &entry.chunks[i];
-        let payload = self.payload_slice(meta.offset, meta.len)?;
-        self.decode_chunk_bytes(entry, i, &payload)
-    }
-
-    /// Sorts the selected chunks' byte ranges and merges adjacent ones
-    /// (bridging up to `coalesce_gap` bytes, capped at
-    /// [`MAX_COALESCED_BYTES`]) into contiguous read groups. Chunks whose
-    /// recorded span is invalid are reported through `results` instead of
-    /// joining a group.
-    fn coalesce(
-        &self,
-        entry: &FieldEntry,
-        ids: &[usize],
-        results: &mut [Option<Result<ChunkValues, StoreError>>],
-    ) -> Vec<ReadGroup> {
-        let mut spans: Vec<(usize, Range<u64>)> = Vec::with_capacity(ids.len());
-        for (pos, &i) in ids.iter().enumerate() {
-            let meta = &entry.chunks[i];
-            match self.payload_range(meta.offset, meta.len) {
-                Ok(range) => spans.push((pos, range)),
-                Err(e) => results[pos] = Some(Err(e)),
-            }
-        }
-        spans.sort_by_key(|a| (a.1.start, a.1.end));
-        let mut groups: Vec<ReadGroup> = Vec::new();
-        for (pos, range) in spans {
-            match groups.last_mut() {
-                Some(g)
-                    if range.start <= g.range.end.saturating_add(self.coalesce_gap)
-                        && range.end.max(g.range.end) - g.range.start <= MAX_COALESCED_BYTES =>
-                {
-                    g.range.end = g.range.end.max(range.end);
-                    g.members.push(pos);
-                }
-                _ => groups.push(ReadGroup {
-                    range,
-                    members: vec![pos],
-                }),
-            }
-        }
-        groups
     }
 
     /// Fetches and decodes the given chunks of `entry` (footer index
@@ -989,17 +864,22 @@ impl<S: ByteSource> StoreReader<S> {
     ) -> Vec<(usize, Result<ChunkValues, StoreError>)> {
         use rayon::prelude::*;
 
+        let spans = self.spans();
         if self.source.as_slice().is_some() {
             return ids
                 .par_iter()
-                .map(|&i| (i, self.decode_chunk(entry, i).map(Arc::new)))
+                .map(|&i| {
+                    let payload = spans.get(entry, ChunkKind::Data(i));
+                    let decoded = payload.and_then(|p| self.decode_verified(i, &p));
+                    (i, decoded.map(Arc::new))
+                })
                 .collect();
         }
         let mut results: Vec<Option<Result<ChunkValues, StoreError>>> =
             ids.iter().map(|_| None).collect();
-        let groups = self.coalesce(entry, ids, &mut results);
+        let groups = coalesce(&spans, entry, ids, &mut results);
         let (tx, rx) = std::sync::mpsc::sync_channel::<(ReadGroup, Result<Vec<u8>, StoreError>)>(
-            self.prefetch_window,
+            PREFETCH_WINDOW,
         );
         std::thread::scope(|scope| {
             let this = &*self;
@@ -1028,10 +908,10 @@ impl<S: ByteSource> StoreReader<S> {
                                 let lo =
                                     (self.payload.start + meta.offset - group.range.start) as usize;
                                 let payload = &bytes[lo..lo + meta.len as usize];
-                                (
-                                    pos,
-                                    self.decode_chunk_bytes(entry, i, payload).map(Arc::new),
-                                )
+                                let decoded = spans
+                                    .verify(entry, ChunkKind::Data(i), payload)
+                                    .and_then(|()| self.decode_verified(i, payload));
+                                (pos, decoded.map(Arc::new))
                             })
                             .collect();
                         for (pos, result) in decoded {
@@ -1070,60 +950,82 @@ impl<S: ByteSource> StoreReader<S> {
     ) -> Result<(AmrField, DamageReport), StoreError> {
         let (field_idx, entry) = self.field(name)?;
         let ids: Vec<usize> = (0..entry.chunks.len()).collect();
-        let decoded = self.fetch_decode(field_idx, entry, &ids);
-        let mut report = DamageReport {
-            fill: self.policy.salvage_fill().unwrap_or_default(),
-            ..DamageReport::default()
-        };
-        let mut stream = Vec::with_capacity(self.recipe.len());
-        for (i, result) in decoded {
-            match (result, self.policy.salvage_fill()) {
-                (Ok(values), _) => stream.extend_from_slice(&values),
-                (Err(error), Some(fill)) => match self.reconstruct_chunk(entry, i) {
-                    Some(values) => {
-                        report
-                            .chunks
-                            .push(self.damaged(entry, i, error, DamageStatus::Repaired));
-                        stream.extend(values);
-                    }
-                    None => {
-                        let lost = self.stream_range(i).len();
-                        report
-                            .chunks
-                            .push(self.damaged(entry, i, error, DamageStatus::Lost));
-                        stream.resize(stream.len() + lost, fill.value());
-                    }
-                },
-                (Err(error), None) => return Err(error),
+        let attempts = self.fetch_decode(field_idx, entry, &ids);
+        let (chunks, mut report) = self.settle(entry, attempts, self.policy)?;
+        let (mut stream, fill) = (Vec::with_capacity(self.recipe.len()), report.fill.value());
+        for (i, values) in chunks {
+            match values {
+                Some(values) => stream.extend_from_slice(&values),
+                None => stream.resize(stream.len() + self.stream_range(i).len(), fill),
             }
         }
         // A full decode also audits the field's parity chunks: strict
         // readers promise "exactly what was written or an error" for every
         // byte the field owns, and salvage readers report eroded
         // self-healing margin.
+        let spans = self.spans();
         for slot in 0..entry.parity.len() {
-            if let Err(error) = self.parity_payload(entry, slot) {
-                if self.policy.is_salvage() {
-                    let meta = &entry.parity[slot];
-                    let shards = self.parity_shards();
-                    report.parity.push(DamagedParity {
-                        field: entry.name.clone(),
-                        group: slot / shards,
-                        shard: slot % shards,
-                        byte_range: self.report_range(meta.offset, meta.len),
-                    });
-                } else {
+            if let Err(error) = spans.get(entry, ChunkKind::Parity(slot)) {
+                if !self.policy.is_salvage() {
                     return Err(error);
                 }
+                report.parity.push(DamagedParity {
+                    field: entry.name.clone(),
+                    group: slot / spans.shards,
+                    shard: slot % spans.shards,
+                    byte_range: spans.report_range(entry, ChunkKind::Parity(slot)),
+                });
             }
         }
-        report.summarize_groups(self.header.parity_group_width as usize);
         if stream.len() != self.recipe.len() {
             return Err(StoreError::Corrupt("stream length mismatches tree"));
         }
         let values = self.recipe.invert(&stream);
         let field = AmrField::from_values(Arc::clone(&self.tree), self.header.mode, values)?;
         Ok((field, report))
+    }
+
+    /// Settles fetched chunks under `policy` — the per-chunk loop full
+    /// decodes and queries share. Intact chunks pass through; under
+    /// salvage each damaged chunk is rebuilt from parity (`Repaired`) or
+    /// comes back `None` (`Lost`), and either way is itemized in the
+    /// returned report. Strict reads return the first error instead.
+    fn settle(
+        &self,
+        entry: &FieldEntry,
+        attempts: Vec<(usize, Result<ChunkValues, StoreError>)>,
+        policy: ReadPolicy,
+    ) -> Result<(Vec<Settled>, DamageReport), StoreError> {
+        let mut report = DamageReport {
+            fill: policy.salvage_fill().unwrap_or_default(),
+            ..DamageReport::default()
+        };
+        let mut settled = Vec::with_capacity(attempts.len());
+        for (i, result) in attempts {
+            let values = match result {
+                Ok(values) => Some(values),
+                Err(error) if policy.is_salvage() => {
+                    let rebuilt = self.reconstruct_chunk(entry, i).map(Arc::new);
+                    let (status, values_lost) = match rebuilt {
+                        Some(_) => (DamageStatus::Repaired, 0),
+                        None => (DamageStatus::Lost, self.stream_range(i).len()),
+                    };
+                    report.chunks.push(DamagedChunk {
+                        field: entry.name.clone(),
+                        chunk: i,
+                        byte_range: self.spans().report_range(entry, ChunkKind::Data(i)),
+                        values_lost,
+                        error,
+                        status,
+                    });
+                    rebuilt
+                }
+                Err(error) => return Err(error),
+            };
+            settled.push((i, values));
+        }
+        report.summarize_groups(self.header.parity_group_width as usize);
+        Ok((settled, report))
     }
 
     /// Chunk indices of `entry` a query must decode.
@@ -1215,35 +1117,12 @@ impl<S: ByteSource> StoreReader<S> {
         let (field_idx, entry) = self.field(name)?;
         let selected = self.select_chunks(entry, query)?;
         let attempts = self.fetch_decode(field_idx, entry, &selected);
-        let mut damage = DamageReport {
-            fill: policy.salvage_fill().unwrap_or_default(),
-            ..DamageReport::default()
-        };
-        let mut decoded: Vec<(usize, ChunkValues)> = Vec::with_capacity(attempts.len());
-        for (i, result) in attempts {
-            match result {
-                Ok(values) => decoded.push((i, values)),
-                Err(error) if policy.is_salvage() => match self.reconstruct_chunk(entry, i) {
-                    Some(values) => {
-                        damage
-                            .chunks
-                            .push(self.damaged(entry, i, error, DamageStatus::Repaired));
-                        decoded.push((i, Arc::new(values)));
-                    }
-                    None => {
-                        damage
-                            .chunks
-                            .push(self.damaged(entry, i, error, DamageStatus::Lost));
-                    }
-                },
-                Err(error) => return Err(error),
-            }
-        }
-        damage.summarize_groups(self.header.parity_group_width as usize);
+        let (chunks, damage) = self.settle(entry, attempts, policy)?;
 
         let perm = self.recipe.permutation();
         let mut hits: Vec<(u32, f64)> = Vec::new();
-        for (i, values) in &decoded {
+        for (i, values) in &chunks {
+            let Some(values) = values else { continue };
             let range = self.stream_range(*i);
             for (pos, &value) in range.clone().zip(values.iter()) {
                 let storage = perm[pos];
@@ -1355,6 +1234,21 @@ mod tests {
             reader.query("density", &all.with_levels([99])),
             Err(StoreError::BadQuery(_))
         ));
+    }
+
+    #[test]
+    fn query_grammar_parses_boxes_and_levels() {
+        let names = ["--bbox", "--level"];
+        let q = Query::parse("0,0:7,7", None, names).unwrap();
+        assert_eq!(q, Query::bbox([0, 0, 0], [7, 7, 0]));
+        let q = Query::parse("1,2,3:4, 5,6", Some("0, 2"), names).unwrap();
+        assert_eq!(q, Query::bbox([1, 2, 3], [4, 5, 6]).with_levels([0, 2]));
+        for bad in ["1,2", "a,b:c,d", "1:2", "1,2,3,4:5,6"] {
+            let err = Query::parse(bad, None, names).unwrap_err();
+            assert!(err.starts_with("--bbox "), "{err}");
+        }
+        let err = Query::parse("0,0:1,1", Some("x"), ["bbox", "levels"]).unwrap_err();
+        assert_eq!(err, "levels \"x\": want L[,L...]");
     }
 
     #[test]

@@ -24,44 +24,18 @@
 //! can only use a replica or raw source.
 
 use crate::cache::RecipeCache;
-use crate::format::{self, FieldEntry, StoreError, StoreHeader};
-use crate::gf256;
+use crate::format::{self, ChunkKind, FieldEntry, Spans, StoreError, StoreHeader};
 use crate::layout::Layout;
-use crate::parity::{group_count, group_members, group_of, reconstruct, Parity};
-use crate::reader::RetryPolicy;
+use crate::parity::{group_count, group_members, group_of};
+use crate::reader::{RetryCounters, RetryPolicy};
 use crate::sink::VecSink;
-use crate::source::{self, ByteSource, SliceSource};
+use crate::source::{ByteSource, SliceSource};
 use crate::writer::{encode_run, EncodedChunk, RUN_CHUNKS};
 use std::borrow::Cow;
 use std::ops::Range;
 use zmesh::{codec_for, crc32, GroupingMode};
 use zmesh_amr::AmrField;
 use zmesh_codecs::{CodecParams, ErrorControl};
-
-/// Which chunk of a field a scrub/repair record points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkKind {
-    /// Data chunk `i` (stream order).
-    Data(usize),
-    /// Parity slot `s` — group `s / shards`, shard `s % shards` (v3 has
-    /// one shard per group, so slot = group).
-    Parity(usize),
-}
-
-impl ChunkKind {
-    fn kind_str(self) -> &'static str {
-        match self {
-            ChunkKind::Data(_) => "data",
-            ChunkKind::Parity(_) => "parity",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            ChunkKind::Data(i) | ChunkKind::Parity(i) => i,
-        }
-    }
-}
 
 /// One chunk scrub found damaged.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,12 +130,14 @@ impl ScrubReport {
             if i > 0 {
                 out.push(',');
             }
+            let (kind, index) = match d.chunk {
+                ChunkKind::Data(i) => ("data", i),
+                ChunkKind::Parity(s) => ("parity", s),
+            };
             out.push_str(&format!(
-                "{{\"field\":\"{}\",\"kind\":\"{}\",\"index\":{},\"recoverable\":{},\
+                "{{\"field\":\"{}\",\"kind\":\"{kind}\",\"index\":{index},\"recoverable\":{},\
                  \"byte_range\":[{},{}],\"error\":\"{}\"}}",
                 json_escape(&d.field),
-                d.chunk.kind_str(),
-                d.chunk.index(),
                 d.recoverable,
                 d.byte_range.start,
                 d.byte_range.end,
@@ -192,74 +168,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Saturated byte range for damage records.
-fn report_range(payload: &Range<u64>, offset: u64, len: u64) -> Range<usize> {
-    let lo = payload.start.saturating_add(offset).min(payload.end);
-    let hi = lo.saturating_add(len).min(payload.end);
-    lo as usize..hi as usize
-}
-
-/// Bounds-checked CRC verification of one payload span. Returns the bytes
-/// on success (borrowed zero-copy from resident sources).
-fn verified_span<'s, S: ByteSource + ?Sized>(
-    src: &'s S,
-    payload: &Range<u64>,
-    offset: u64,
-    len: u64,
-    crc: u32,
-    on_crc_fail: impl FnOnce() -> StoreError,
-) -> Result<Cow<'s, [u8]>, StoreError> {
-    let lo = payload
-        .start
-        .checked_add(offset)
-        .ok_or(StoreError::Corrupt("chunk offset overflow"))?;
-    let hi = lo
-        .checked_add(len)
-        .ok_or(StoreError::Corrupt("chunk length overflow"))?;
-    if hi > payload.end {
-        return Err(StoreError::Truncated {
-            needed: hi as usize,
-            have: payload.end as usize,
-        });
-    }
-    let span = source::fetch(src, lo, hi - lo)?;
-    if crc32(&span) != crc {
-        return Err(on_crc_fail());
-    }
-    Ok(span)
-}
-
-fn data_span<'s, S: ByteSource + ?Sized>(
-    src: &'s S,
-    payload: &Range<u64>,
-    entry: &FieldEntry,
-    i: usize,
-) -> Result<Cow<'s, [u8]>, StoreError> {
-    let meta = &entry.chunks[i];
-    verified_span(src, payload, meta.offset, meta.len, meta.crc, || {
-        StoreError::ChunkCrc {
-            field: entry.name.clone(),
-            chunk: i,
-        }
-    })
-}
-
-fn parity_span<'s, S: ByteSource + ?Sized>(
-    src: &'s S,
-    payload: &Range<u64>,
-    entry: &FieldEntry,
-    slot: usize,
-    shards: usize,
-) -> Result<Cow<'s, [u8]>, StoreError> {
-    let meta = &entry.parity[slot];
-    verified_span(src, payload, meta.offset, meta.len, meta.crc, || {
-        StoreError::ParityCrc {
-            field: entry.name.clone(),
-            group: slot / shards.max(1),
-        }
-    })
-}
-
 /// Verifies every data and parity chunk of an in-memory store. See
 /// [`scrub_source`].
 pub fn scrub(bytes: &[u8]) -> Result<ScrubReport, StoreError> {
@@ -278,13 +186,14 @@ pub fn scrub_source<S: ByteSource + ?Sized>(src: &S) -> Result<ScrubReport, Stor
     let (header, fields, payload) = format::open_source(src)?;
     let width = header.parity_group_width as usize;
     let scheme = header.scheme();
-    let shards = scheme.shards() as usize;
-    let parity_available = header.capabilities().parity;
+    // Offline walks surface transient read failures at once.
+    let counters = RetryCounters::default();
+    let spans = Spans::new(src, payload, scheme, RetryPolicy::none(), &counters);
     let mut report = ScrubReport {
         version: header.version,
         parity_group_width: header.parity_group_width,
         parity_shards: scheme.shards(),
-        parity_available,
+        parity_available: header.capabilities().parity,
         fields: fields.len(),
         data_chunks: fields.iter().map(|f| f.chunks.len()).sum(),
         parity_chunks: fields.iter().map(|f| f.parity.len()).sum(),
@@ -295,57 +204,40 @@ pub fn scrub_source<S: ByteSource + ?Sized>(src: &S) -> Result<ScrubReport, Stor
         bytes_per_s: 0,
     };
     for entry in &fields {
-        let data_ok: Vec<bool> = (0..entry.chunks.len())
-            .map(|i| data_span(src, &payload, entry, i).is_ok())
+        // One fetch per span: the failures keep their first error.
+        let check = |kind| spans.get(entry, kind).err();
+        let data: Vec<Option<StoreError>> = (0..entry.chunks.len())
+            .map(|i| check(ChunkKind::Data(i)))
             .collect();
-        let parity_ok: Vec<bool> = (0..entry.parity.len())
-            .map(|s| parity_span(src, &payload, entry, s, shards).is_ok())
+        let parity: Vec<Option<StoreError>> = (0..entry.parity.len())
+            .map(|s| check(ChunkKind::Parity(s)))
             .collect();
-        let failures_in = |g: usize| -> usize {
-            group_members(g, width, entry.chunks.len())
-                .filter(|&c| !data_ok[c])
-                .count()
+        // Whether parity alone can rebuild group `g`: the budget test of
+        // `Parity::recover`, over its failed members and intact shards.
+        let heals = |g: usize| {
+            let missing = group_members(g, width, data.len())
+                .filter(|&c| data[c].is_some())
+                .count();
+            let intact = (g * spans.shards..(g + 1) * spans.shards)
+                .filter(|&slot| matches!(parity.get(slot), Some(None)))
+                .count();
+            scheme.heals(missing, intact)
         };
-        // A group's erasure budget is its count of *intact* parity shards.
-        let intact_shards = |g: usize| -> usize {
-            (0..shards)
-                .filter(|&j| parity_ok.get(g * shards + j).copied().unwrap_or(false))
-                .count()
-        };
-        for (i, ok) in data_ok.iter().enumerate() {
-            if *ok {
-                continue;
-            }
-            let error = data_span(src, &payload, entry, i).unwrap_err();
-            let recoverable = parity_available && {
-                let g = group_of(i, width);
-                failures_in(g) <= intact_shards(g)
-            };
-            let meta = &entry.chunks[i];
-            report.damaged.push(ScrubChunk {
-                field: entry.name.clone(),
-                chunk: ChunkKind::Data(i),
-                recoverable,
-                byte_range: report_range(&payload, meta.offset, meta.len),
-                error,
-            });
-        }
-        for (s, ok) in parity_ok.iter().enumerate() {
-            if *ok {
-                continue;
-            }
-            let error = parity_span(src, &payload, entry, s, shards).unwrap_err();
+        let kinds = (0..data.len()).map(ChunkKind::Data);
+        for kind in kinds.chain((0..parity.len()).map(ChunkKind::Parity)) {
             // A parity shard is recomputable whenever the data it protects
             // is intact or itself recoverable from the surviving shards.
-            let g = s / shards.max(1);
-            let recoverable = failures_in(g) <= intact_shards(g);
-            let meta = &entry.parity[s];
+            let (error, group) = match kind {
+                ChunkKind::Data(i) => (&data[i], (width > 0).then(|| group_of(i, width))),
+                ChunkKind::Parity(s) => (&parity[s], Some(s / spans.shards)),
+            };
+            let Some(error) = error else { continue };
             report.damaged.push(ScrubChunk {
                 field: entry.name.clone(),
-                chunk: ChunkKind::Parity(s),
-                recoverable,
-                byte_range: report_range(&payload, meta.offset, meta.len),
-                error,
+                chunk: kind,
+                recoverable: group.is_some_and(heals),
+                byte_range: spans.report_range(entry, kind),
+                error: error.clone(),
             });
         }
     }
@@ -552,7 +444,8 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
     let (header, fields, payload) = format::open_source(src)?;
     let width = header.parity_group_width as usize;
     let scheme = header.scheme();
-    let shards = scheme.shards() as usize;
+    let counters = RetryCounters::default();
+    let spans = Spans::new(src, payload, scheme, RetryPolicy::none(), &counters);
 
     // Parse and vet the replica once, up front. An incompatible replica is
     // a caller error, not a silent no-op.
@@ -565,11 +458,14 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
                     "replica store does not match (structure or encoding differ)",
                 ));
             }
-            Some((r, rf, rp))
+            Some((
+                Spans::new(r, rp, rh.scheme(), RetryPolicy::none(), &counters),
+                rf,
+            ))
         }
     };
     let replica_chunk = |field_name: &str, i: usize, meta_len: u64, meta_crc: u32| {
-        let (rsrc, rfields, rpayload) = replica_parts.as_ref()?;
+        let (rspans, rfields) = replica_parts.as_ref()?;
         let rentry = rfields.iter().find(|f| f.name == field_name)?;
         let rmeta = rentry.chunks.get(i)?;
         // The replica's copy must be the *same* chunk (length and CRC
@@ -577,7 +473,7 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
         if rmeta.len != meta_len || rmeta.crc != meta_crc {
             return None;
         }
-        data_span(*rsrc, rpayload, rentry, i).ok()
+        rspans.get(rentry, ChunkKind::Data(i)).ok()
     };
 
     let mut outcome = RepairOutcome {
@@ -593,8 +489,9 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
     let mut recovered: Vec<Vec<Vec<u8>>> = Vec::with_capacity(fields.len());
     for entry in &fields {
         let n = entry.chunks.len();
-        let mut chunks: Vec<Option<Vec<u8>>> = (0..n)
-            .map(|i| data_span(src, &payload, entry, i).ok().map(Cow::into_owned))
+        // One fetch per span: a chunk no avenue recovers keeps its error.
+        let mut chunks: Vec<Result<Vec<u8>, StoreError>> = (0..n)
+            .map(|i| spans.get(entry, ChunkKind::Data(i)).map(Cow::into_owned))
             .collect();
         let mut sources: Vec<Option<RepairSource>> = vec![None; n];
         // The raw re-encode covers the whole field; run it at most once.
@@ -603,86 +500,37 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
             let mut progress = false;
             // Avenue 1: the store's own parity, one group at a time.
             for g in 0..group_count(n, width) {
-                let members = group_members(g, width, n);
-                let missing: Vec<usize> =
-                    members.clone().filter(|&c| chunks[c].is_none()).collect();
-                if missing.is_empty() {
-                    continue;
-                }
-                let rebuilt: Option<Vec<(usize, Vec<u8>)>> = match scheme {
-                    Parity::None => None,
-                    Parity::Xor { .. } => (missing.len() == 1)
-                        .then(|| {
-                            let i = missing[0];
-                            let parity = parity_span(src, &payload, entry, g, 1).ok()?;
-                            let siblings = members
-                                .clone()
-                                .filter(|&c| c != i)
-                                .map(|c| chunks[c].as_deref().expect("siblings intact"))
-                                .collect::<Vec<_>>();
-                            let b = reconstruct(&parity, siblings, entry.chunks[i].len as usize)?;
-                            Some(vec![(i, b)])
-                        })
-                        .flatten(),
-                    Parity::Rs { .. } => {
-                        let member_payloads: Vec<Option<&[u8]>> =
-                            members.clone().map(|c| chunks[c].as_deref()).collect();
-                        let lens: Vec<usize> = members
-                            .clone()
-                            .map(|c| entry.chunks[c].len as usize)
-                            .collect();
-                        let shard_data: Vec<Option<Cow<'_, [u8]>>> = (0..shards)
-                            .map(|j| parity_span(src, &payload, entry, g * shards + j, shards).ok())
-                            .collect();
-                        let shard_payloads: Vec<Option<&[u8]>> =
-                            shard_data.iter().map(|s| s.as_deref()).collect();
-                        gf256::rs_recover(&member_payloads, &shard_payloads, &lens).map(|v| {
-                            v.into_iter()
-                                .map(|(local, b)| (members.start + local, b))
-                                .collect()
-                        })
-                    }
-                };
-                for (i, b) in rebuilt.into_iter().flatten() {
-                    // Never splice in a reconstruction the footer disowns.
-                    if crc32(&b) == entry.chunks[i].crc {
-                        chunks[i] = Some(b);
-                        sources[i] = Some(RepairSource::Parity);
-                        progress = true;
-                    }
-                }
-            }
-            // Avenue 2: the replica store.
-            for i in 0..n {
-                if chunks[i].is_some() {
-                    continue;
-                }
-                let meta = &entry.chunks[i];
-                if let Some(p) = replica_chunk(&entry.name, i, meta.len, meta.crc) {
-                    chunks[i] = Some(p.into_owned());
-                    sources[i] = Some(RepairSource::Replica);
+                let members: Vec<Option<&[u8]>> = group_members(g, width, n)
+                    .map(|c| chunks[c].as_deref().ok())
+                    .collect();
+                for (i, bytes) in scheme.recover(&spans, entry, g, &members) {
+                    chunks[i] = Ok(bytes);
+                    sources[i] = Some(RepairSource::Parity);
                     progress = true;
                 }
             }
-            // Avenue 3: re-encode from the original field data.
-            if let Some(raw_src) = raw {
-                if chunks.iter().any(Option::is_none) {
-                    let encoded =
-                        raw_chunks.get_or_insert_with(|| raw_encode_field(&header, entry, raw_src));
-                    if let Ok(encoded) = encoded {
-                        for i in 0..n {
-                            if chunks[i].is_some() {
-                                continue;
-                            }
-                            let meta = &entry.chunks[i];
-                            let (b, crc) = &encoded[i];
-                            if b.len() as u64 == meta.len && *crc == meta.crc {
-                                chunks[i] = Some(b.clone());
-                                sources[i] = Some(RepairSource::Raw);
-                                progress = true;
-                            }
-                        }
-                    }
+            // Avenues 2 and 3: the replica store, then a re-encode from
+            // the original field data.
+            for i in 0..n {
+                if chunks[i].is_ok() {
+                    continue;
+                }
+                let meta = &entry.chunks[i];
+                let found = match replica_chunk(&entry.name, i, meta.len, meta.crc) {
+                    Some(p) => Some((p.into_owned(), RepairSource::Replica)),
+                    None => raw.and_then(|raw_src| {
+                        let encoded = raw_chunks
+                            .get_or_insert_with(|| raw_encode_field(&header, entry, raw_src));
+                        let (b, _) = encoded.as_ref().ok()?.get(i)?;
+                        let fits = b.len() as u64 == meta.len
+                            && spans.verify(entry, ChunkKind::Data(i), b).is_ok();
+                        fits.then(|| (b.clone(), RepairSource::Raw))
+                    }),
+                };
+                if let Some((bytes, source)) = found {
+                    chunks[i] = Ok(bytes);
+                    sources[i] = Some(source);
+                    progress = true;
                 }
             }
             if !progress {
@@ -691,7 +539,7 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
         }
         for i in 0..n {
             match (&chunks[i], sources[i]) {
-                (Some(_), Some(source)) => outcome.repaired.push(RepairedChunk {
+                (Ok(_), Some(source)) => outcome.repaired.push(RepairedChunk {
                     field: entry.name.clone(),
                     chunk: i,
                     source,
@@ -700,12 +548,12 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
                 // reason (mesh mismatch, missing precision control, …) is
                 // the actionable error — report it instead of the
                 // underlying span damage the caller already knows about.
-                (None, _) => outcome.lost.push(LostChunk {
+                (Err(span_error), _) => outcome.lost.push(LostChunk {
                     field: entry.name.clone(),
                     chunk: i,
                     error: match &raw_chunks {
                         Some(Err(e)) => e.clone(),
-                        _ => data_span(src, &payload, entry, i).unwrap_err(),
+                        _ => span_error.clone(),
                     },
                 }),
                 _ => {}
@@ -729,7 +577,7 @@ pub fn repair_with_sources<S: ByteSource + ?Sized, R: ByteSource + ?Sized>(
                 old.parity
                     .get(slot)
                     .is_none_or(|meta| meta.crc != new.parity[slot].crc)
-                    || parity_span(src, &payload, old, slot, shards).is_err()
+                    || spans.get(old, ChunkKind::Parity(slot)).is_err()
             })
             .count();
     }
@@ -853,31 +701,14 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
     let header = format::peek_header(bytes)?;
     let header_len = header.header_bytes;
 
-    // Scan backwards for a verifiable index trailer. The trailer is
-    // `offset: u64 · crc: u32 · INDEX_MAGIC`, so a magic hit at `q` puts
-    // the trailer at `q-12..q+4` and the footer at `offset..q-12`.
-    let magic = format::INDEX_MAGIC;
-    let mut recovered: Option<(Vec<FieldEntry>, u64)> = None;
-    let mut q = bytes.len().saturating_sub(4);
-    while q >= header_len + 12 {
-        if bytes[q..q + 4] == magic {
-            let footer_offset =
-                u64::from_le_bytes(bytes[q - 12..q - 4].try_into().expect("8 bytes")) as usize;
-            let stored_crc = u32::from_le_bytes(bytes[q - 4..q].try_into().expect("4 bytes"));
-            if footer_offset >= header_len && footer_offset <= q - 12 {
-                let footer = &bytes[footer_offset..q - 12];
-                let mut crc_input = bytes[..header_len].to_vec();
-                crc_input.extend_from_slice(footer);
-                if crc32(&crc_input) == stored_crc {
-                    if let Ok(fields) = format::read_footer(footer, header.version) {
-                        recovered = Some((fields, footer_offset as u64));
-                        break;
-                    }
-                }
-            }
-        }
-        q -= 1;
-    }
+    // Scan backwards for a verifiable index trailer: a magic hit at `q`
+    // puts the trailer at `q-12..q+4`, which the index reader checks like
+    // any store's.
+    let src = SliceSource::new(bytes);
+    let recovered = (header_len + 12..=bytes.len().saturating_sub(4))
+        .rev()
+        .filter(|&q| bytes[q..q + 4] == format::INDEX_MAGIC)
+        .find_map(|q| format::read_index(&src, &header, q as u64 + 4).ok());
     let Some((fields, footer_offset)) = recovered else {
         return Err(StoreError::Corrupt(
             "torn store has no recoverable index trailer (rebuild from raw data)",
@@ -885,8 +716,17 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
     };
 
     // Keep each field's longest intact whole-chunk prefix. Chunk offsets
-    // are payload-relative; the payload starts right after the header.
-    let payload_start = header_len as u64;
+    // are payload-relative; the payload starts right after the header and
+    // ends where the file or the recovered footer does.
+    let counters = RetryCounters::default();
+    let payload = header_len as u64..(bytes.len() as u64).min(footer_offset);
+    let spans = Spans::new(
+        &src,
+        payload,
+        header.scheme(),
+        RetryPolicy::none(),
+        &counters,
+    );
     let mut salvage = TornSalvage {
         bytes: None,
         fields: fields.len(),
@@ -894,32 +734,13 @@ pub fn salvage_torn(bytes: &[u8]) -> Result<TornSalvage, StoreError> {
         chunks_kept: 0,
         dropped: Vec::new(),
     };
-    let mut kept_payloads: Vec<Vec<&[u8]>> = Vec::with_capacity(fields.len());
+    let mut kept_payloads: Vec<Vec<Cow<'_, [u8]>>> = Vec::with_capacity(fields.len());
     for entry in &fields {
-        let mut kept: Vec<&[u8]> = Vec::new();
+        let mut kept = Vec::new();
         let mut first_error: Option<StoreError> = None;
-        for (i, meta) in entry.chunks.iter().enumerate() {
+        for i in 0..entry.chunks.len() {
             if first_error.is_none() {
-                let lo = payload_start.saturating_add(meta.offset);
-                let hi = lo.saturating_add(meta.len);
-                let in_bounds = hi <= bytes.len() as u64 && hi <= footer_offset;
-                let result = if !in_bounds {
-                    Err(StoreError::Truncated {
-                        needed: hi as usize,
-                        have: (bytes.len() as u64).min(footer_offset) as usize,
-                    })
-                } else {
-                    let span = &bytes[lo as usize..hi as usize];
-                    if crc32(span) == meta.crc {
-                        Ok(span)
-                    } else {
-                        Err(StoreError::ChunkCrc {
-                            field: entry.name.clone(),
-                            chunk: i,
-                        })
-                    }
-                };
-                match result {
+                match spans.get(entry, ChunkKind::Data(i)) {
                     Ok(span) => {
                         kept.push(span);
                         continue;
@@ -967,6 +788,7 @@ fn replica_compatible(ours: &StoreHeader, theirs: &StoreHeader) -> bool {
 mod tests {
     use super::*;
     use crate::faultinject;
+    use crate::parity::Parity;
     use crate::writer::StoreWriter;
     use zmesh::CompressionConfig;
     use zmesh_amr::{datasets, AmrField, StorageMode};

@@ -85,3 +85,9 @@ perfbench-trace workload seed="1" seconds="30":
 # Regenerate every reconstructed paper artifact.
 repro scale="small":
     cargo run --release -p zmesh-bench --bin repro -- all --scale {{scale}}
+
+# Workspace size the way CHANGES.md reports it: tracked .rs/.sh lines,
+# with and without vendor/.
+loc:
+    @echo "workspace .rs/.sh lines: $(git ls-files '*.rs' '*.sh' | xargs cat | wc -l)"
+    @echo "without vendor/: $(git ls-files '*.rs' '*.sh' ':!vendor/' | xargs cat | wc -l)"

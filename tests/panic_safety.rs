@@ -440,3 +440,46 @@ fn hostile_lossless_lengths_are_typed_errors() {
         );
     }
 }
+
+#[test]
+fn non_finite_or_negative_footer_bounds_are_corrupt() {
+    // The codecs reject these bounds at encode, so a footer carrying one
+    // was damaged and re-signed: it must open as `Corrupt`, never reach
+    // the daemon's JSON as `NaN`/`inf`. The footer opens with the field
+    // count u32, then field 0's name (u16 length + bytes), control tag u8
+    // and control payload u64.
+    let valid = v2_bytes();
+    let trailer_at = valid.len() - store::TRAILER_BYTES;
+    let footer_at =
+        u64::from_le_bytes(valid[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
+    let header_bytes = store::peek_header(valid)
+        .expect("valid fixture")
+        .header_bytes;
+    let name_len = u16::from_le_bytes(valid[footer_at + 4..footer_at + 6].try_into().unwrap());
+    let tag_at = footer_at + 6 + name_len as usize;
+    let with_control = |tag: u8, value: f64| {
+        let mut bytes = valid.to_vec();
+        bytes[tag_at] = tag;
+        bytes[tag_at + 1..tag_at + 9].copy_from_slice(&value.to_bits().to_le_bytes());
+        let mut signed = bytes[..header_bytes].to_vec();
+        signed.extend_from_slice(&bytes[footer_at..trailer_at]);
+        let crc = zmesh::crc32(&signed).to_le_bytes();
+        bytes[trailer_at + 8..trailer_at + 12].copy_from_slice(&crc);
+        bytes
+    };
+    // Re-signing works: legal bounds and rates still open.
+    for (tag, value) in [(1, 0.0), (1, 0.5), (2, 16.0)] {
+        assert!(StoreReader::open(&with_control(tag, value)).is_ok());
+    }
+    let bad_bounds = [f64::NAN, f64::INFINITY, -1.0].map(|v| (1, v));
+    let bad_rates = [f64::NAN, f64::NEG_INFINITY, 0.0, -16.0].map(|v| (2, v));
+    for (tag, value) in bad_bounds.into_iter().chain(bad_rates) {
+        let bytes = with_control(tag, value);
+        let opened = StoreReader::open(&bytes).err();
+        assert!(
+            matches!(opened, Some(StoreError::Corrupt(_))),
+            "{tag} {value}: {opened:?}"
+        );
+        assert!(matches!(store::scrub(&bytes), Err(StoreError::Corrupt(_))));
+    }
+}

@@ -25,12 +25,13 @@
 //! every test hits exactly the chunk it names.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::ErrorControl;
 use zmesh_suite::prelude::*;
-use zmesh_suite::store::{faultinject, DamageStatus, RepairSource, StoreWriteOptions};
+use zmesh_suite::store::{faultinject, ChunkKind, DamageStatus, RepairSource, StoreWriteOptions};
 
 const WIDTH: u32 = 4;
 
@@ -415,4 +416,103 @@ fn mismatched_replica_is_rejected() {
         repair(&bytes, Some(&other)).is_err(),
         "structurally different replica must be refused"
     );
+}
+
+/// The Reed–Solomon twin of [`pristine`]: k = 4 data chunks, m = 2 shards.
+fn rs_pristine() -> &'static Vec<u8> {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| write_fixture(Parity::Rs { data: 4, parity: 2 }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The self-healing paths share one recovery, so they must agree chunk
+    // by chunk, not just in their counts: for every damaged data chunk,
+    // scrub's `recoverable`, the salvage read's `Repaired` (full decode
+    // and full-domain query alike) and repair's `Parity` source are one
+    // verdict. Random damage hits data and parity chunks of an XOR and a
+    // Reed–Solomon store.
+    #[test]
+    fn scrub_salvage_and_repair_agree_chunk_by_chunk(
+        rs in any::<bool>(),
+        seed in any::<u64>(),
+        data_flips in 1usize..10,
+        parity_flips in 0usize..4,
+    ) {
+        let clean = if rs { rs_pristine() } else { pristine() };
+        let entry = StoreReader::open(clean).expect("open clean").fields()[0].clone();
+        let mut rng = faultinject::Lcg::new(seed);
+        let mut bytes = clean.clone();
+        let damaged: BTreeSet<usize> =
+            (0..data_flips).map(|_| rng.below(entry.chunks.len())).collect();
+        for &c in &damaged {
+            faultinject::flip_data_chunk(&mut bytes, 0, c);
+        }
+        for _ in 0..parity_flips {
+            faultinject::flip_parity_chunk(&mut bytes, 0, rng.below(entry.parity.len()));
+        }
+
+        let report = scrub(&bytes).expect("scrub");
+        let scrub_data = |only_recoverable: bool| -> BTreeSet<usize> {
+            report.damaged.iter()
+                .filter_map(|d| match d.chunk {
+                    ChunkKind::Data(i) if d.recoverable || !only_recoverable => Some(i),
+                    _ => None,
+                })
+                .collect()
+        };
+        let healable = scrub_data(true);
+        prop_assert_eq!(&scrub_data(false), &damaged, "scrub names exactly the flipped chunks");
+
+        let reader = StoreReader::open(&bytes)
+            .expect("open damaged")
+            .with_read_policy(ReadPolicy::salvage());
+        let (_, decoded) = reader.decode_field_with_report(&entry.name).expect("salvage decode");
+        let decoded_damage: BTreeSet<usize> = decoded.chunks.iter().map(|d| d.chunk).collect();
+        prop_assert_eq!(&decoded_damage, &damaged);
+        let repaired: BTreeSet<usize> = decoded.repaired().map(|d| d.chunk).collect();
+        prop_assert_eq!(&repaired, &healable, "salvage decode vs scrub");
+        let side = reader.tree().level_dims(reader.tree().max_level())[0] as u32 - 1;
+        let queried = reader
+            .query(&entry.name, &Query::bbox([0; 3], [side, side, 0]))
+            .expect("salvage query");
+        let repaired: BTreeSet<usize> = queried.damage.repaired().map(|d| d.chunk).collect();
+        prop_assert_eq!(&repaired, &healable, "salvage query vs scrub");
+
+        let outcome = repair(&bytes, None).expect("repair");
+        let healed: BTreeSet<usize> = outcome.repaired.iter()
+            .filter(|r| r.field == entry.name && r.source == RepairSource::Parity)
+            .map(|r| r.chunk)
+            .collect();
+        prop_assert_eq!(&healed, &healable, "repair vs scrub");
+        let lost: BTreeSet<usize> = outcome.lost.iter().map(|l| l.chunk).collect();
+        prop_assert_eq!(lost, &damaged - &healable);
+    }
+}
+
+/// Scrub fetches each span once: damage changes what it reports, never
+/// how many bytes it reads.
+#[cfg(unix)]
+#[test]
+fn scrub_of_a_damaged_store_reads_no_more_than_a_clean_one() {
+    use zmesh_suite::store::{scrub_source, FileSource};
+    let scrub_file = |bytes: &[u8], tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("zmesh_scrub_{}_{tag}.zms", std::process::id()));
+        std::fs::write(&path, bytes).expect("write temp store");
+        let report = scrub_source(&FileSource::open(&path).expect("open temp store"));
+        std::fs::remove_file(&path).expect("remove temp store");
+        report.expect("scrub")
+    };
+    let clean = write_fixture(Parity::Xor { width: 8 });
+    let mut damaged = clean.clone();
+    faultinject::flip_data_chunk(&mut damaged, 0, 0);
+    faultinject::flip_data_chunk(&mut damaged, 1, 1);
+    faultinject::flip_parity_chunk(&mut damaged, 0, 0);
+    let clean_report = scrub_file(&clean, "clean");
+    let damaged_report = scrub_file(&damaged, "damaged");
+    assert!(clean_report.is_clean());
+    assert_eq!(damaged_report.damaged.len(), 3);
+    assert_eq!(damaged_report.bytes_read, clean_report.bytes_read);
 }
