@@ -1,16 +1,17 @@
-//! Criterion bench: the full pipeline (recipe + reorder + codec +
-//! container) vs the level-order baseline, compress and decompress.
+//! Criterion bench: the full write (recipe + reorder + codec + store
+//! framing) vs the level-order baseline, and the full read back, on
+//! one-chunk-per-field stores.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
+use zmesh_bench::{field_refs, read_store, write_store};
 use zmesh_codecs::{CodecKind, ErrorControl};
 
 fn bench_e2e(c: &mut Criterion) {
     let ds = datasets::front2d(StorageMode::AllCells, Scale::Small);
-    let fields: Vec<(&str, &zmesh_amr::AmrField)> =
-        ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
+    let fields = field_refs(&ds);
     let bytes = ds.nbytes() as u64;
 
     let mut g = c.benchmark_group("pipeline_compress");
@@ -23,8 +24,7 @@ fn bench_e2e(c: &mut Criterion) {
                 control: ErrorControl::ValueRangeRelative(1e-4),
             };
             g.bench_function(format!("{}_{}", policy.label(), codec.label()), |b| {
-                let p = Pipeline::new(config);
-                b.iter(|| p.compress(black_box(&fields)).unwrap())
+                b.iter(|| write_store(config, black_box(&fields)))
             });
         }
     }
@@ -38,9 +38,9 @@ fn bench_e2e(c: &mut Criterion) {
             codec: CodecKind::Sz,
             control: ErrorControl::ValueRangeRelative(1e-4),
         };
-        let compressed = Pipeline::new(config).compress(&fields).unwrap();
+        let store = write_store(config, &fields);
         g.bench_function(policy.label(), |b| {
-            b.iter(|| Pipeline::decompress(black_box(&compressed.bytes)).unwrap())
+            b.iter(|| read_store(black_box(&store.bytes)))
         });
     }
     g.finish();

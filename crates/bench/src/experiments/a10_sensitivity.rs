@@ -4,10 +4,9 @@
 //! interleaving in the baseline) and vary smoothly with how much of the
 //! domain is refined.
 
-use crate::header;
-use crate::row;
+use crate::{header, row, write_store};
 use std::sync::Arc;
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::Scale;
 use zmesh_amr::{analytic, AmrField, Dim, RefineCriterion, StorageMode, TreeBuilder};
 use zmesh_codecs::{CodecKind, ErrorControl};
@@ -34,11 +33,7 @@ fn gain_for(levels: u32, threshold: f64, scale: Scale) -> (usize, f64) {
             codec: CodecKind::Sz,
             control: ErrorControl::ValueRangeRelative(1e-4),
         };
-        Pipeline::new(config)
-            .compress(&[("f", &field)])
-            .expect("compress")
-            .stats
-            .ratio()
+        write_store(config, &[("f", &field)]).stats.ratio()
     };
     let base = ratio(OrderingPolicy::LevelOrder);
     let h = ratio(OrderingPolicy::Hilbert);

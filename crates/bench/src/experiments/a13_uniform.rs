@@ -8,8 +8,8 @@
 //! treatment vs the AMR field compressed with zMesh + SZ-1D, at the same
 //! absolute error bound.
 
-use crate::{header, row};
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use crate::{header, row, write_store};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::{Codec, CodecKind, CodecParams, ErrorControl, SzCodec, ValueType};
@@ -50,13 +50,14 @@ pub fn run(scale: Scale) {
         };
         let ubytes = codec.compress(&uniform, &uparams).expect("compress").len();
 
-        let zm = Pipeline::new(CompressionConfig {
-            policy: OrderingPolicy::Hilbert,
-            codec: CodecKind::Sz,
-            control: ErrorControl::Absolute(abs_eb),
-        })
-        .compress(&[("f", field)])
-        .expect("compress");
+        let zm = write_store(
+            CompressionConfig {
+                policy: OrderingPolicy::Hilbert,
+                codec: CodecKind::Sz,
+                control: ErrorControl::Absolute(abs_eb),
+            },
+            &[("f", field)],
+        );
 
         row(&[
             ds.name.clone(),

@@ -4,8 +4,8 @@
 //! (works in both storage conventions) and the chained same-coordinate
 //! grouping (only exists when coarse covered data is stored).
 
-use crate::{field_refs, header, row};
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use crate::{field_refs, header, row, write_store};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::{CodecKind, ErrorControl};
@@ -25,11 +25,7 @@ pub fn run(scale: Scale) {
                     codec: CodecKind::Sz,
                     control: ErrorControl::ValueRangeRelative(1e-4),
                 };
-                Pipeline::new(config)
-                    .compress(&field_refs(&ds))
-                    .expect("compress")
-                    .stats
-                    .ratio()
+                write_store(config, &field_refs(&ds)).stats.ratio()
             };
             let base = ratio(OrderingPolicy::LevelOrder);
             let z = ratio(OrderingPolicy::ZOrder);

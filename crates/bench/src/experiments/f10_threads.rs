@@ -1,12 +1,13 @@
-//! F10 — extension experiment: thread scaling of the pipeline.
+//! F10 — extension experiment: thread scaling of a store write.
 //!
-//! The pipeline parallelizes over quantities, ZFP superblocks, and the
-//! recipe sort. This experiment measures end-to-end compression throughput
-//! against the rayon pool size.
+//! A one-chunk-per-field write runs one encode job per quantity; the
+//! reorder and the ZFP superblocks inside a job parallelize too. This
+//! experiment measures end-to-end compression throughput against the rayon
+//! pool size.
 
-use crate::{field_refs, header, row};
+use crate::{field_refs, header, row, write_store};
 use std::time::Instant;
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::{CodecKind, ErrorControl};
@@ -32,7 +33,7 @@ pub fn run(scale: Scale) {
             let mut times: Vec<f64> = (0..6)
                 .map(|_| {
                     let t = Instant::now();
-                    pool.install(|| Pipeline::new(config).compress(&fields).expect("compress"));
+                    pool.install(|| write_store(config, &fields));
                     t.elapsed().as_secs_f64()
                 })
                 .skip(1)
@@ -47,5 +48,5 @@ pub fn run(scale: Scale) {
             ]);
         }
     }
-    println!("\nshape check: throughput grows with threads until per-field parallelism\n(2 quantities) and superblock counts saturate.");
+    println!("\nshape check: throughput grows with threads until per-field parallelism\n(2 quantities, one encode job each) saturates.");
 }

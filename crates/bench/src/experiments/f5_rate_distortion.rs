@@ -3,10 +3,11 @@
 
 use crate::experiments::compress;
 use crate::{eval_datasets, header, row, EB_SWEEP};
-use zmesh::{OrderingPolicy, Pipeline};
+use zmesh::OrderingPolicy;
 use zmesh_amr::datasets::Scale;
 use zmesh_codecs::CodecKind;
 use zmesh_metrics::ErrorStats;
+use zmesh_store::StoreReader;
 
 /// Prints (bits/value, PSNR) series per dataset × codec × policy.
 pub fn run(scale: Scale) {
@@ -24,8 +25,10 @@ pub fn run(scale: Scale) {
             for policy in [OrderingPolicy::LevelOrder, OrderingPolicy::Hilbert] {
                 for eb in EB_SWEEP {
                     let c = compress(ds, policy, codec, eb);
-                    let d = Pipeline::decompress(&c.bytes).expect("round trip");
-                    let stats = ErrorStats::between(ds.primary().values(), d.fields[0].1.values());
+                    let primary = StoreReader::open(&c.bytes)
+                        .and_then(|r| r.decode_field(&ds.fields[0].0))
+                        .expect("round trip");
+                    let stats = ErrorStats::between(ds.primary().values(), primary.values());
                     let n_values: usize = ds.fields.iter().map(|(_, f)| f.len()).sum();
                     let bpv = (c.stats.container_bytes * 8) as f64 / n_values as f64;
                     row(&[

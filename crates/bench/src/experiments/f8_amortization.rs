@@ -2,10 +2,9 @@
 //! compressed on one mesh. The recipe is built once, so its share of the
 //! per-quantity cost decays as 1/n.
 
-use crate::header;
-use crate::row;
+use crate::{header, row, write_store};
 use std::sync::Arc;
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::{analytic, AmrField, StorageMode};
 use zmesh_codecs::{CodecKind, ErrorControl};
@@ -44,7 +43,7 @@ pub fn run(scale: Scale) {
             .iter()
             .map(|(n, f)| (n.as_str(), f))
             .collect();
-        let c = Pipeline::new(config).compress(&fields).expect("compress");
+        let c = write_store(config, &fields);
         let recipe = c.stats.recipe_ns as f64 / 1e6;
         let total = (c.stats.recipe_ns + c.stats.reorder_ns + c.stats.encode_ns) as f64 / 1e6;
         row(&[

@@ -20,23 +20,23 @@ pub mod t12_lossless;
 pub mod t1_datasets;
 pub mod t6_error_bound;
 
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::Dataset;
 use zmesh_codecs::{CodecKind, ErrorControl};
+use zmesh_store::StoreWritten;
 
-/// Compresses all fields of a dataset under one configuration.
+/// Compresses all fields of a dataset under one configuration into a
+/// one-chunk-per-field store.
 pub(crate) fn compress(
     ds: &Dataset,
     policy: OrderingPolicy,
     codec: CodecKind,
     rel_eb: f64,
-) -> zmesh::Compressed {
+) -> StoreWritten {
     let config = CompressionConfig {
         policy,
         codec,
         control: ErrorControl::ValueRangeRelative(rel_eb),
     };
-    Pipeline::new(config)
-        .compress(&crate::field_refs(ds))
-        .expect("evaluation datasets compress cleanly")
+    crate::write_store(config, &crate::field_refs(ds))
 }

@@ -2,8 +2,8 @@
 //! codec's pointwise guarantee.
 
 use crate::experiments::compress;
-use crate::{eval_datasets, header, row};
-use zmesh::{OrderingPolicy, Pipeline};
+use crate::{eval_datasets, header, read_store, row};
+use zmesh::OrderingPolicy;
 use zmesh_amr::datasets::Scale;
 use zmesh_codecs::CodecKind;
 use zmesh_metrics::ErrorStats;
@@ -26,8 +26,8 @@ pub fn run(scale: Scale) {
         for codec in [CodecKind::Sz, CodecKind::Zfp] {
             for policy in OrderingPolicy::ALL {
                 let c = compress(ds, policy, codec, rel_eb);
-                let d = Pipeline::decompress(&c.bytes).expect("round trip");
-                for ((name, orig), (_, rest)) in ds.fields.iter().zip(&d.fields) {
+                let restored = read_store(&c.bytes);
+                for ((name, orig), rest) in ds.fields.iter().zip(&restored) {
                     let stats = ErrorStats::between(orig.values(), rest.values());
                     let bound = rel_eb * stats.range;
                     let ok = stats.max_abs <= bound * (1.0 + 1e-9);

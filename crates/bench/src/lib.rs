@@ -12,8 +12,36 @@ pub mod experiments;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use zmesh::CompressionConfig;
 use zmesh_amr::datasets::{self, Dataset, Scale};
 use zmesh_amr::{AmrField, StorageMode};
+use zmesh_store::{Parity, StoreReader, StoreWriteOptions, StoreWriter, StoreWritten};
+
+/// The store layout every paper-reproduction run writes: one chunk per
+/// field and no parity, so each quantity's whole reordered stream meets
+/// the codec at once, as in the paper.
+pub const MONOLITHIC: StoreWriteOptions = StoreWriteOptions {
+    chunk_target_bytes: u32::MAX,
+    parity: Parity::None,
+};
+
+/// Writes `fields` as a [`MONOLITHIC`] store. Each call uses a fresh
+/// writer, so each write builds its own restore recipe.
+pub fn write_store(config: CompressionConfig, fields: &[(&str, &AmrField)]) -> StoreWritten {
+    StoreWriter::with_options(config, MONOLITHIC)
+        .write(fields)
+        .expect("evaluation datasets compress cleanly")
+}
+
+/// Decodes every field of a store, in store order.
+pub fn read_store(bytes: &[u8]) -> Vec<AmrField> {
+    let reader = StoreReader::open(bytes).expect("round trip");
+    reader
+        .field_names()
+        .iter()
+        .map(|name| reader.decode_field(name).expect("round trip"))
+        .collect()
+}
 
 /// Parses the scale from argv/env (`--scale tiny|small|standard`).
 pub fn scale_from_args() -> Scale {
@@ -55,7 +83,7 @@ pub fn eval_datasets(scale: Scale) -> Arc<Vec<Dataset>> {
 /// (value-range-relative bounds).
 pub const EB_SWEEP: [f64; 5] = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6];
 
-/// Borrowed name/field pairs in the shape `Pipeline::compress` takes.
+/// Borrowed name/field pairs in the shape `StoreWriter::write` takes.
 pub fn field_refs(ds: &Dataset) -> Vec<(&str, &AmrField)> {
     ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect()
 }

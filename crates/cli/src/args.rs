@@ -96,9 +96,9 @@ mod tests {
 
     #[test]
     fn parses_positionals_and_flags() {
-        let a = Args::parse(&argv(&["in.zmd", "-o", "out.zmc", "--codec", "sz"])).unwrap();
+        let a = Args::parse(&argv(&["in.zmd", "-o", "out.zms", "--codec", "sz"])).unwrap();
         assert_eq!(a.positional(0, "input").unwrap(), "in.zmd");
-        assert_eq!(a.required("output").unwrap(), "out.zmc");
+        assert_eq!(a.required("output").unwrap(), "out.zms");
         assert_eq!(a.option("codec"), Some("sz"));
         assert_eq!(a.option("nope"), None);
         assert!(a.positional(1, "x").is_err());

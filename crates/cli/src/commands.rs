@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
+use zmesh::{CompressionConfig, OrderingPolicy};
 use zmesh_amr::datasets::{self, Dataset, Scale};
 use zmesh_amr::{load_dataset, save_dataset, AmrField, DatasetStats, StorageMode};
 use zmesh_codecs::{CodecKind, ErrorControl};
@@ -182,78 +182,6 @@ pub fn generate(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `zmesh compress <in.zmd> -o <out.zmc> [--policy] [--codec] [--rel-eb|--abs-eb]`
-pub fn compress(argv: &[String]) -> Result<(), CliError> {
-    let args = parse(argv)?;
-    let input = positional(&args, 0, "input dataset (.zmd)")?;
-    let out = required(&args, "output")?;
-    let ds = load_dataset(input)?;
-    let compressed = Pipeline::new(parse_config(&args)?).compress(&field_refs(&ds))?;
-    write_file(out, &compressed.bytes)?;
-    let s = compressed.stats;
-    println!(
-        "wrote {out}: {} -> {} bytes (ratio {:.2}) | recipe {:.2} ms, reorder {:.2} ms, encode {:.2} ms",
-        s.raw_bytes,
-        s.container_bytes,
-        s.ratio(),
-        s.recipe_ns as f64 / 1e6,
-        s.reorder_ns as f64 / 1e6,
-        s.encode_ns as f64 / 1e6,
-    );
-    Ok(())
-}
-
-/// `zmesh decompress <in.zmc> -o <out.zmd>`
-pub fn decompress(argv: &[String]) -> Result<(), CliError> {
-    let args = parse(argv)?;
-    let input = positional(&args, 0, "input container (.zmc)")?;
-    let out = required(&args, "output")?;
-    let bytes = read_file(input)?;
-    let restored = Pipeline::decompress(&bytes)?;
-    let ds = Dataset {
-        name: "restored".to_string(),
-        description: String::new(),
-        tree: restored.tree,
-        fields: restored.fields,
-    };
-    save_dataset(out, &ds)?;
-    println!(
-        "wrote {out}: {} quantities restored ({:?} ordering, recipe rebuilt in {:.2} ms)",
-        ds.fields.len(),
-        restored.policy,
-        restored.recipe_ns as f64 / 1e6
-    );
-    Ok(())
-}
-
-/// `zmesh extract <in.zmc> --field <name> -o <out.zmd>` — selective decode.
-pub fn extract(argv: &[String]) -> Result<(), CliError> {
-    let args = parse(argv)?;
-    let input = positional(&args, 0, "input container (.zmc)")?;
-    let name = required(&args, "field")?;
-    let out = required(&args, "output")?;
-    let bytes = read_file(input)?;
-    let (tree, field) = Pipeline::decompress_field(&bytes, name).map_err(|e| {
-        if let Ok(fields) = Pipeline::list_fields(&bytes) {
-            CliError::Usage(format!("{e} (available: {})", fields.join(", ")))
-        } else {
-            CliError::from(e)
-        }
-    })?;
-    let ds = Dataset {
-        name: name.to_string(),
-        description: String::new(),
-        tree,
-        fields: vec![(name.to_string(), field)],
-    };
-    save_dataset(out, &ds)?;
-    println!(
-        "wrote {out}: field {name:?} ({} values)",
-        ds.fields[0].1.len()
-    );
-    Ok(())
-}
-
 /// `zmesh pack <in.zmd> -o <out.zms> [--policy] [--codec] [--rel-eb|--abs-eb]
 /// [--chunk-kb N] [--parity none|xor[:W]|rs:K,M] [--window-bytes N]
 /// [--fault-sink SPEC]` — write a chunked, indexed store (v3 with XOR
@@ -417,8 +345,10 @@ fn parse_salvage_fill(args: &Args) -> Result<Option<SalvageFill>, CliError> {
     }
 }
 
-/// `zmesh unpack <in.zms> -o <out.zmd> [--salvage] [--salvage-fill nan|zero]
-/// [--in-memory]` — full decode of a store. With `--salvage`, corrupt
+/// `zmesh unpack <in.zms> -o <out.zmd> [--field <name>] [--salvage]
+/// [--salvage-fill nan|zero] [--in-memory]` — full decode of a store, or
+/// of the one field `--field` names (an unknown name is a usage error that
+/// lists the available ones). With `--salvage`, corrupt
 /// chunks are rebuilt from parity where possible; what stays lost decodes
 /// to the fill value (NaN by default) and the damage is summarized on
 /// stderr instead of failing. `--salvage-fill` implies `--salvage`. Reads
@@ -449,13 +379,24 @@ fn unpack_reader<S: ByteSource>(
             fill: fill.unwrap_or_default(),
         });
     }
+    let available = reader.field_names();
+    let names = match args.option("field") {
+        Some(name) if !available.contains(&name) => {
+            return Err(CliError::Usage(format!(
+                "{} (available: {})",
+                StoreError::UnknownField(name.to_string()),
+                available.join(", ")
+            )))
+        }
+        Some(name) => vec![name.to_string()],
+        None => available.iter().map(|n| n.to_string()).collect(),
+    };
     let mut fields = Vec::new();
     let mut damage = DamageReport {
         fill: fill.unwrap_or_default(),
         ..DamageReport::default()
     };
-    for name in reader.field_names() {
-        let name = name.to_string();
+    for name in names {
         let (field, report) = reader.decode_field_with_report(&name)?;
         damage.merge(report);
         fields.push((name, field));
@@ -865,8 +806,8 @@ fn info_store<S: ByteSource>(
     Ok(())
 }
 
-/// `zmesh info <file> [--stats] [--in-memory]` — dataset, v1 container, or
-/// v2/v3/v4 store, by magic. `--stats` additionally exercises and prints
+/// `zmesh info <file> [--stats] [--in-memory]` — dataset or v2/v3/v4
+/// store, by magic. `--stats` additionally exercises and prints
 /// the recipe-cache counters (hits, misses, collisions, poison
 /// recoveries). Stores are inspected via ranged reads (footer only) unless
 /// `--in-memory` is given; other artifact kinds are always loaded whole.
@@ -913,19 +854,6 @@ pub fn info(argv: &[String]) -> Result<(), CliError> {
             },
             || exercise_chunk_cache(StoreReader::open_with_cache(&bytes, &cache)?),
         )?;
-    } else if bytes.starts_with(zmesh::CONTAINER_MAGIC) {
-        let header = zmesh::ContainerHeader::parse(&bytes)?;
-        println!(
-            "zMesh container: policy {:?}, codec {}, {} fields, {} bytes total ({} metadata)",
-            header.policy,
-            header.codec.label(),
-            header.fields.len(),
-            bytes.len(),
-            header.header_bytes
-        );
-        for (name, range) in &header.fields {
-            println!("  field {name:?}: {} payload bytes", range.len());
-        }
     } else {
         let ds = load_dataset(input)?;
         let stats = DatasetStats::compute(&ds.tree);

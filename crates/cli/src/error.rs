@@ -8,7 +8,7 @@
 //! | 0    | success                                              |
 //! | 2    | usage error (bad flags, unknown name/field)          |
 //! | 3    | I/O error (missing file, unwritable output, ENOSPC)  |
-//! | 4    | corrupt or truncated container / dataset             |
+//! | 4    | corrupt, truncated or unknown store / dataset        |
 //! | 5    | verification failed (data exceeded error bound)      |
 //! | 6    | damage found, but all of it is parity-recoverable    |
 //! | 7    | torn store (interrupted write, no commit record)     |
@@ -19,7 +19,6 @@
 //! `zmesh repair --from-raw`) from bit rot in a completed store (code 4).
 
 use std::fmt;
-use zmesh::ZmeshError;
 use zmesh_amr::AmrError;
 use zmesh_store::StoreError;
 
@@ -86,12 +85,6 @@ impl From<AmrError> for CliError {
             AmrError::Io(msg) => CliError::Io(msg),
             other => CliError::Corrupt(other.to_string()),
         }
-    }
-}
-
-impl From<ZmeshError> for CliError {
-    fn from(e: ZmeshError) -> Self {
-        CliError::Corrupt(e.to_string())
     }
 }
 

@@ -2,17 +2,14 @@
 //!
 //! ```text
 //! zmesh generate <preset> -o data.zmd [--scale tiny|small|standard] [--mode leaf|all]
-//! zmesh compress data.zmd -o data.zmc [--policy baseline|zorder|hilbert]
-//!                                     [--codec sz|zfp] [--rel-eb 1e-4 | --abs-eb X]
-//! zmesh decompress data.zmc -o restored.zmd
-//! zmesh extract data.zmc --field <name> -o field.zmd
-//! zmesh pack data.zmd -o data.zms [compress flags] [--chunk-kb 64] [--parity none|xor[:W]|rs:K,M]
-//!                                 [--window-bytes N]
-//! zmesh unpack data.zms -o restored.zmd [--salvage] [--salvage-fill nan|zero]
+//! zmesh pack data.zmd -o data.zms [--policy baseline|zorder|hilbert] [--codec sz|zfp]
+//!                                 [--rel-eb 1e-4 | --abs-eb X] [--chunk-kb 64]
+//!                                 [--parity none|xor[:W]|rs:K,M] [--window-bytes N]
+//! zmesh unpack data.zms -o restored.zmd [--field <name>] [--salvage] [--salvage-fill nan|zero]
 //! zmesh query data.zms --field <name> --bbox x0,y0:x1,y1 [--level L] [--salvage] [-o out.csv]
 //! zmesh scrub data.zms
 //! zmesh repair data.zms -o repaired.zms [--replica copy.zms] [--from-raw data.zmd]
-//! zmesh info <file.zmd | file.zmc | file.zms> [--stats]
+//! zmesh info <file.zmd | file.zms> [--stats]
 //! zmesh verify original.zmd restored.zmd [--rel-eb 1e-4]
 //! ```
 //!
@@ -45,9 +42,6 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let rest = &argv[1..];
     match cmd.as_str() {
         "generate" => commands::generate(rest),
-        "compress" => commands::compress(rest),
-        "decompress" => commands::decompress(rest),
-        "extract" => commands::extract(rest),
         "pack" => commands::pack(rest),
         "unpack" => commands::unpack(rest),
         "query" => commands::query(rest),
@@ -73,16 +67,14 @@ fn print_usage() {
         "zmesh — AMR reordering for better lossy compression\n\n\
          usage:\n\
          \x20 zmesh generate <preset> -o data.zmd [--scale tiny|small|standard] [--mode leaf|all]\n\
-         \x20 zmesh compress data.zmd -o data.zmc [--policy baseline|zorder|hilbert]\n\
-         \x20                                     [--codec sz|zfp] [--rel-eb 1e-4 | --abs-eb X]\n\
-         \x20 zmesh decompress data.zmc -o restored.zmd\n\
-         \x20 zmesh extract data.zmc --field <name> -o field.zmd\n\
-         \x20 zmesh pack data.zmd -o data.zms [compress flags] [--chunk-kb 64] [--parity none|xor[:W]|rs:K,M] [--window-bytes N]\n\
-         \x20 zmesh unpack data.zms -o restored.zmd [--salvage] [--salvage-fill nan|zero]\n\
+         \x20 zmesh pack data.zmd -o data.zms [--policy baseline|zorder|hilbert] [--codec sz|zfp]\n\
+         \x20                                 [--rel-eb 1e-4 | --abs-eb X] [--chunk-kb 64]\n\
+         \x20                                 [--parity none|xor[:W]|rs:K,M] [--window-bytes N]\n\
+         \x20 zmesh unpack data.zms -o restored.zmd [--field <name>] [--salvage] [--salvage-fill nan|zero]\n\
          \x20 zmesh query data.zms --field <name> --bbox x0,y0:x1,y1 [--level L[,L...]] [--salvage] [-o out.csv]\n\
          \x20 zmesh scrub data.zms\n\
          \x20 zmesh repair data.zms -o repaired.zms [--replica copy.zms] [--from-raw data.zmd]\n\
-         \x20 zmesh info <file.zmd | file.zmc | file.zms> [--stats]\n\
+         \x20 zmesh info <file.zmd | file.zms> [--stats]\n\
          \x20 zmesh verify original.zmd restored.zmd [--rel-eb 1e-4]\n\
          \x20 zmesh serve <dir> [--addr 127.0.0.1:0] [--workers 4] [--queue 64] [--cache-mb 64]\n\
          \x20                   [--idle-timeout 10] [--max-requests 1000] [--fault-plan SPEC]\n\

@@ -1,5 +1,5 @@
 //! End-to-end CLI tests: drive the real binary through the full
-//! generate → compress → decompress → verify flow.
+//! generate → pack → unpack → verify flow.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,7 +17,7 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn full_workflow() {
     let zmd = tmp("blast.zmd");
-    let zmc = tmp("blast.zmc");
+    let zms = tmp("blast.zms");
     let restored = tmp("restored.zmd");
 
     let out = zmesh()
@@ -40,10 +40,10 @@ fn full_workflow() {
 
     let out = zmesh()
         .args([
-            "compress",
+            "pack",
             zmd.to_str().unwrap(),
             "-o",
-            zmc.to_str().unwrap(),
+            zms.to_str().unwrap(),
             "--policy",
             "hilbert",
             "--codec",
@@ -52,7 +52,7 @@ fn full_workflow() {
             "1e-4",
         ])
         .output()
-        .expect("run compress");
+        .expect("run pack");
     assert!(
         out.status.success(),
         "{}",
@@ -63,13 +63,13 @@ fn full_workflow() {
 
     let out = zmesh()
         .args([
-            "decompress",
-            zmc.to_str().unwrap(),
+            "unpack",
+            zms.to_str().unwrap(),
             "-o",
             restored.to_str().unwrap(),
         ])
         .output()
-        .expect("run decompress");
+        .expect("run unpack");
     assert!(
         out.status.success(),
         "{}",
@@ -107,7 +107,7 @@ fn full_workflow() {
     assert!(!out.status.success(), "too-tight verify should fail");
 
     // Info on both artifact kinds.
-    for f in [&zmd, &zmc] {
+    for f in [&zmd, &zms] {
         let out = zmesh()
             .args(["info", f.to_str().unwrap()])
             .output()
@@ -115,43 +115,79 @@ fn full_workflow() {
         assert!(out.status.success());
     }
 
-    // Selective extraction of one field.
+    // Selective decode of one field: the same values as the full unpack.
     let extracted = tmp("density.zmd");
     let out = zmesh()
         .args([
-            "extract",
-            zmc.to_str().unwrap(),
+            "unpack",
+            zms.to_str().unwrap(),
             "--field",
             "density",
             "-o",
             extracted.to_str().unwrap(),
         ])
         .output()
-        .expect("run extract");
+        .expect("run unpack --field");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(extracted.exists());
+    let one = zmesh_amr::load_dataset(&extracted).expect("load extracted");
+    let all = zmesh_amr::load_dataset(&restored).expect("load restored");
+    assert_eq!(one.fields.len(), 1);
+    assert_eq!(one.fields[0].0, "density");
+    assert_eq!(one.fields[0].1.values(), all.fields[0].1.values());
     // Unknown field lists the available ones.
     let out = zmesh()
         .args([
-            "extract",
-            zmc.to_str().unwrap(),
+            "unpack",
+            zms.to_str().unwrap(),
             "--field",
             "nope",
             "-o",
             "/dev/null",
         ])
         .output()
-        .expect("run extract");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("available"));
+        .expect("run unpack --field");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("(available: density, energy)"));
 
-    for f in [zmd, zmc, restored, extracted] {
+    for f in [zmd, zms, restored, extracted] {
         let _ = std::fs::remove_file(f);
     }
+}
+
+/// A file in the retired single-blob container format (its 4-byte magic,
+/// version 1, then tags and a structure length) is neither a store nor a
+/// dataset: `unpack` and `info` reject it as corrupt input, without a
+/// panic.
+#[test]
+fn retired_container_files_are_typed_corrupt_errors() {
+    let old = tmp("retired.blob");
+    let mut bytes = vec![0x5a, 0x4d, 0x43, 0x31, 1, 2, 1, 0, 17];
+    bytes.extend_from_slice(b"AMT1 structure...");
+    bytes.extend_from_slice(&[0; 24]);
+    std::fs::write(&old, &bytes).expect("write");
+    for args in [
+        vec!["unpack", old.to_str().unwrap(), "-o", "/dev/null"],
+        vec![
+            "unpack",
+            old.to_str().unwrap(),
+            "-o",
+            "/dev/null",
+            "--in-memory",
+        ],
+        vec!["info", old.to_str().unwrap()],
+        vec!["info", old.to_str().unwrap(), "--in-memory"],
+    ] {
+        let out = zmesh().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(old);
 }
 
 #[test]
@@ -175,7 +211,7 @@ fn errors_are_reported_not_panicked() {
     // Conflicting bounds.
     let out = zmesh()
         .args([
-            "compress", "x.zmd", "-o", "y.zmc", "--abs-eb", "1", "--rel-eb", "1e-4",
+            "pack", "x.zmd", "-o", "y.zms", "--abs-eb", "1", "--rel-eb", "1e-4",
         ])
         .output()
         .expect("run");

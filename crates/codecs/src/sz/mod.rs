@@ -1,6 +1,6 @@
 //! SZ-style prediction-based error-bounded lossy compressor.
 //!
-//! Pipeline (mirrors SZ 1.4, the version the paper benchmarks against):
+//! Stages (mirrors SZ 1.4, the version the paper benchmarks against):
 //!
 //! 1. the stream is cut into fixed-size chunks; for each chunk the best of
 //!    three predictors (last-value / linear / quadratic Lorenzo along the

@@ -65,8 +65,9 @@ pub fn read_f32(buf: &[u8], pos: &mut usize) -> Result<f32, CodecError> {
 
 /// Reads exactly `n` bytes.
 pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
-    let bytes = buf
-        .get(*pos..*pos + n)
+    let bytes = pos
+        .checked_add(n)
+        .and_then(|end| buf.get(*pos..end))
         .ok_or(CodecError::Corrupt("bytes past end"))?;
     *pos += n;
     Ok(bytes)

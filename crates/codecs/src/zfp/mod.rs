@@ -1,6 +1,6 @@
 //! ZFP-style transform-based error-bounded lossy compressor.
 //!
-//! Pipeline (mirrors ZFP 0.5, the version the paper benchmarks against):
+//! Stages (mirrors ZFP 0.5, the version the paper benchmarks against):
 //!
 //! 1. the stream is cut into blocks of 4 / 4×4 / 4×4×4 values (partial edge
 //!    blocks padded by replication, [`block`]);
@@ -108,7 +108,10 @@ fn resolve_grid(n: usize, params: &CodecParams) -> Result<([usize; 3], usize), C
         2 => [params.dims[0], params.dims[1], 1],
         _ => params.dims,
     };
-    let expected: usize = grid.iter().product();
+    let expected = grid
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or(CodecError::Corrupt("stored dims overflow"))?;
     if expected != n {
         return Err(CodecError::DimsMismatch {
             expected,
@@ -118,10 +121,14 @@ fn resolve_grid(n: usize, params: &CodecParams) -> Result<([usize; 3], usize), C
     Ok((grid, dims))
 }
 
+/// Blocks along each axis of `grid` (1 beyond `dims`).
+fn blocks_per_axis(grid: [usize; 3], dims: usize) -> [usize; 3] {
+    std::array::from_fn(|d| if d < dims { grid[d].div_ceil(SIDE) } else { 1 })
+}
+
 /// Block origins in row-major block-grid order (empty grid → no blocks).
 fn block_origins(grid: [usize; 3], dims: usize) -> Vec<[usize; 3]> {
-    let nb = |d: usize| if d < dims { grid[d].div_ceil(SIDE) } else { 1 };
-    let (bx, by, bz) = (nb(0), nb(1), nb(2));
+    let [bx, by, bz] = blocks_per_axis(grid, dims);
     let mut origins = Vec::with_capacity(bx * by * bz);
     for z in 0..bz {
         for y in 0..by {
@@ -330,17 +337,32 @@ impl Codec for ZfpCodec {
             }
             _ => return Err(CodecError::Corrupt("unknown mode tag")),
         };
-        let n_super = varint::read_u64(bytes, &mut pos)? as usize;
-        let origins = block_origins(grid, dims);
-        if n_super != origins.len().div_ceil(SUPERBLOCK) {
+        // Every block costs at least one bit (an empty block is its flag
+        // bit), so the stored counts are bounded by the bytes left before
+        // anything is sized from them: n ≤ 8 · bytes left · block size.
+        let left = bytes.len() - pos;
+        let n_blocks = blocks_per_axis(grid, dims)
+            .iter()
+            .try_fold(1usize, |acc, &b| acc.checked_mul(b))
+            .filter(|&b| b <= left.saturating_mul(8))
+            .ok_or(CodecError::Corrupt("value count exceeds payload"))?;
+        let n_super = varint::read_u64(bytes, &mut pos)?;
+        // Each superblock length is a varint of at least one byte.
+        if n_super > (bytes.len() - pos) as u64 || n_super as usize != n_blocks.div_ceil(SUPERBLOCK)
+        {
             return Err(CodecError::Corrupt("superblock count mismatch"));
         }
+        let n_super = n_super as usize;
         let mut lens = Vec::with_capacity(n_super);
         for _ in 0..n_super {
             lens.push(varint::read_u64(bytes, &mut pos)? as usize);
         }
-        let total: usize = lens.iter().sum();
+        let total = lens
+            .iter()
+            .try_fold(0usize, |acc, &l| acc.checked_add(l))
+            .ok_or(CodecError::Corrupt("superblock lengths overflow"))?;
         let body = varint::read_bytes(bytes, &mut pos, total)?;
+        let origins = block_origins(grid, dims);
         let mut offsets = Vec::with_capacity(n_super);
         let mut off = 0;
         for &l in &lens {

@@ -1,57 +1,20 @@
-//! Error type for the zMesh pipeline.
+//! Error type for the zMesh core.
 
 use std::fmt;
-use zmesh_amr::AmrError;
-use zmesh_codecs::CodecError;
 
-/// Errors from compression, decompression, or container parsing.
+/// Errors from the zMesh core layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ZmeshError {
-    /// Underlying codec failure.
-    Codec(CodecError),
-    /// Underlying AMR structure failure.
-    Amr(AmrError),
-    /// The container is malformed.
-    Corrupt(&'static str),
-    /// The buffer is not a zMesh container.
-    WrongMagic,
     /// Field/tree mismatch at compression time.
     Mismatch(&'static str),
-    /// A requested field name is not present in the container.
-    UnknownField(String),
 }
 
 impl fmt::Display for ZmeshError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ZmeshError::Codec(e) => write!(f, "codec: {e}"),
-            ZmeshError::Amr(e) => write!(f, "amr: {e}"),
-            ZmeshError::Corrupt(what) => write!(f, "corrupt container: {what}"),
-            ZmeshError::WrongMagic => write!(f, "not a zMesh container"),
             ZmeshError::Mismatch(what) => write!(f, "input mismatch: {what}"),
-            ZmeshError::UnknownField(name) => write!(f, "no field named {name:?} in container"),
         }
     }
 }
 
-impl std::error::Error for ZmeshError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ZmeshError::Codec(e) => Some(e),
-            ZmeshError::Amr(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for ZmeshError {
-    fn from(e: CodecError) -> Self {
-        ZmeshError::Codec(e)
-    }
-}
-
-impl From<AmrError> for ZmeshError {
-    fn from(e: AmrError) -> Self {
-        ZmeshError::Amr(e)
-    }
-}
+impl std::error::Error for ZmeshError {}

@@ -21,55 +21,55 @@
 //! The permutation (*restore recipe*, [`RestoreRecipe`]) is **never
 //! stored**: it is re-generated at decompression time from the chained
 //! refinement-tree metadata that any AMR container must carry anyway
-//! ([`zmesh_amr::AmrTree::structure_bytes`]). The [`container`](CONTAINER_MAGIC) format
-//! demonstrates this end-to-end — its header is byte-identical across
-//! ordering policies.
+//! ([`zmesh_amr::AmrTree::structure_bytes`]). The on-disk format lives in
+//! `zmesh-store`, whose header carries exactly those structure bytes and is
+//! byte-identical across ordering policies.
 //!
 //! ## Amortization
 //!
 //! The recipe is a pure function of the mesh, not of the data, so one recipe
-//! serves every quantity an application writes on that mesh. The
-//! [`Pipeline`] builds it once per container and [`Recipe
-//! reuse`](Pipeline::compress) makes the reorder overhead vanish as the
-//! number of quantities grows (paper Fig. "amortization").
+//! serves every quantity an application writes on that mesh: build it once,
+//! then [`RestoreRecipe::apply`] and [`RestoreRecipe::invert`] per quantity
+//! (paper Fig. "amortization").
 //!
 //! ## Quick start
 //!
 //! ```
-//! use std::sync::Arc;
-//! use zmesh::{CompressionConfig, OrderingPolicy, Pipeline};
-//! use zmesh_amr::{datasets, StorageMode};
-//! use zmesh_codecs::{CodecKind, ErrorControl};
+//! use zmesh::{codec_for, CompressionConfig, GroupingMode, RestoreRecipe};
+//! use zmesh_amr::{datasets, AmrTree};
+//! use zmesh_codecs::{CodecParams, ValueType};
 //!
-//! let ds = datasets::front2d(StorageMode::AllCells, datasets::Scale::Tiny);
-//! let config = CompressionConfig {
-//!     policy: OrderingPolicy::Hilbert,
-//!     codec: CodecKind::Sz,
-//!     control: ErrorControl::ValueRangeRelative(1e-4),
+//! let ds = datasets::front2d(zmesh_amr::StorageMode::AllCells, datasets::Scale::Tiny);
+//! let config = CompressionConfig::zmesh_default();
+//! let grouping = GroupingMode::from_storage_mode(ds.mode());
+//! let recipe = RestoreRecipe::build(&ds.tree, config.policy, grouping);
+//! let params = CodecParams {
+//!     control: config.control,
+//!     dims: [0, 0, 0],
+//!     value_type: ValueType::F64,
 //! };
-//! let fields: Vec<(&str, &zmesh_amr::AmrField)> =
-//!     ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
-//! let compressed = Pipeline::new(config).compress(&fields).unwrap();
-//! let restored = Pipeline::decompress(&compressed.bytes).unwrap();
-//! assert_eq!(restored.fields.len(), ds.fields.len());
+//! let codec = codec_for(config.codec);
+//! let payload = codec.compress(&recipe.apply(ds.primary().values()), &params).unwrap();
+//!
+//! // Decompression side: only the structure bytes and the payload exist.
+//! let tree = AmrTree::from_structure_bytes(&ds.tree.structure_bytes()).unwrap();
+//! let rebuilt = RestoreRecipe::build(&tree, config.policy, grouping);
+//! let restored = rebuilt.invert(&codec.decompress(&payload).unwrap());
+//! assert_eq!(restored.len(), ds.primary().len());
 //! ```
 
 pub mod analysis;
-mod container;
+mod config;
 mod crc;
 mod error;
 mod linearize;
 mod ordering;
-mod pipeline;
 mod recipe;
 
 pub use analysis::{stream_locality, StreamLocality};
-pub use container::{ContainerHeader, CONTAINER_MAGIC};
+pub use config::{codec_for, CompressionConfig};
 pub use crc::crc32;
 pub use error::ZmeshError;
 pub use linearize::{linearize, restore};
 pub use ordering::{GroupingMode, OrderingPolicy};
-pub use pipeline::{
-    codec_for, CompressStats, Compressed, CompressionConfig, Decompressed, Pipeline,
-};
 pub use recipe::RestoreRecipe;

@@ -2,10 +2,8 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use zmesh::CompressionConfig;
-use zmesh::{linearize, restore, GroupingMode, OrderingPolicy, Pipeline, RestoreRecipe};
+use zmesh::{linearize, restore, GroupingMode, OrderingPolicy, RestoreRecipe};
 use zmesh_amr::{AmrField, AmrTree, Dim, StorageMode, TreeBuilder};
-use zmesh_codecs::{CodecKind, ErrorControl};
 
 /// A random tree: refinement decided by hashing cell coordinates with a seed.
 fn random_tree(dim: Dim, seed: u64, levels: u32, density: u8) -> Arc<AmrTree> {
@@ -90,40 +88,5 @@ proptest! {
             let b = RestoreRecipe::build(&rebuilt, policy, GroupingMode::Chained);
             prop_assert_eq!(a.permutation(), b.permutation());
         }
-    }
-
-    #[test]
-    fn pipeline_round_trip_respects_bound(
-        seed in any::<u64>(),
-        levels in 1u32..3,
-        density in 40u8..140,
-        policy in prop::sample::select(&OrderingPolicy::ALL[..]),
-        codec in prop::sample::select(&[CodecKind::Sz, CodecKind::Zfp][..])
-    ) {
-        let tree = random_tree(Dim::D2, seed, levels, density);
-        let field = random_field(&tree, StorageMode::AllCells, seed);
-        let config = CompressionConfig {
-            policy,
-            codec,
-            control: ErrorControl::ValueRangeRelative(1e-4),
-        };
-        let c = Pipeline::new(config).compress(&[("f", &field)]).unwrap();
-        let d = Pipeline::decompress(&c.bytes).unwrap();
-        prop_assert_eq!(d.fields.len(), 1);
-        let restored = &d.fields[0].1;
-        let range = {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &v in field.values() { lo = lo.min(v); hi = hi.max(v); }
-            hi - lo
-        };
-        let bound = 1e-4 * range;
-        for (&a, &b) in field.values().iter().zip(restored.values()) {
-            prop_assert!((a - b).abs() <= bound * (1.0 + 1e-9) + 1e-300);
-        }
-    }
-
-    #[test]
-    fn decompress_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..400)) {
-        let _ = Pipeline::decompress(&data);
     }
 }

@@ -577,16 +577,16 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zmesh::{CompressionConfig, Pipeline};
+    use zmesh::CompressionConfig;
     use zmesh_amr::{datasets, StorageMode};
-    use zmesh_store::{persist_store, PipelineStoreExt, Query};
+    use zmesh_store::{persist_store, Query, StoreWriter};
 
     fn pack_into(dir: &Path, name: &str) {
         let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
         let fields: Vec<(&str, &zmesh_amr::AmrField)> =
             ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
-        let store = Pipeline::new(CompressionConfig::zmesh_default())
-            .pack(&fields)
+        let store = StoreWriter::new(CompressionConfig::zmesh_default())
+            .write(&fields)
             .expect("pack");
         persist_store(&store.bytes, &dir.join(name)).expect("persist");
     }

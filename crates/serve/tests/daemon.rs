@@ -10,11 +10,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use zmesh::{CompressionConfig, Pipeline};
+use zmesh::CompressionConfig;
 use zmesh_amr::{datasets, StorageMode};
 use zmesh_serve::bench::{batch_body, http_get, HttpClient};
 use zmesh_serve::{wire, ServeOptions, Server};
-use zmesh_store::{persist_store, PipelineStoreExt, Query, StoreReader};
+use zmesh_store::{persist_store, Query, StoreReader, StoreWriter};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zmesh_serve_daemon_{tag}_{}", std::process::id()));
@@ -27,8 +27,8 @@ fn pack_into(dir: &Path, name: &str) -> Vec<u8> {
     let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
     let fields: Vec<(&str, &zmesh_amr::AmrField)> =
         ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
-    let store = Pipeline::new(CompressionConfig::zmesh_default())
-        .pack(&fields)
+    let store = StoreWriter::new(CompressionConfig::zmesh_default())
+        .write(&fields)
         .expect("pack");
     persist_store(&store.bytes, &dir.join(name)).expect("persist");
     store.bytes

@@ -1,8 +1,7 @@
 //! # zmesh-store — chunked, indexed, random-access containers
 //!
-//! The core [`zmesh`] container (v1) compresses each field as one opaque
-//! payload: reading anything means decoding everything. This crate adds
-//! the **store** (formats v2–v4), built for partial reads and self-healing:
+//! The **store** (formats v2–v4) is zMesh's only on-disk format, built for
+//! partial reads and self-healing:
 //!
 //! - the reordered stream is framed into fixed-target-size **chunks**, each
 //!   compressed independently with its own CRC;
@@ -37,16 +36,21 @@
 //! ordering policies — only chunk payload bytes differ (and parity bytes,
 //! which track payload size, not the permutation).
 //!
+//! A writer with [`StoreWriteOptions`] `{ chunk_target_bytes: u32::MAX,
+//! parity: Parity::None }` lays every field out as one chunk holding the
+//! whole reordered stream's codec payload: the monolithic layout the
+//! paper's experiments measure, in the same format as every other store.
+//!
 //! ```
-//! use zmesh::{CompressionConfig, Pipeline};
+//! use zmesh::CompressionConfig;
 //! use zmesh_amr::{datasets, StorageMode};
-//! use zmesh_store::{PipelineStoreExt, Query, StoreReader};
+//! use zmesh_store::{Query, StoreReader, StoreWriter};
 //!
 //! let ds = datasets::blast2d(StorageMode::AllCells, datasets::Scale::Tiny);
 //! let fields: Vec<(&str, &zmesh_amr::AmrField)> =
 //!     ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
-//! let store = Pipeline::new(CompressionConfig::zmesh_default())
-//!     .pack(&fields)
+//! let store = StoreWriter::new(CompressionConfig::zmesh_default())
+//!     .write(&fields)
 //!     .unwrap();
 //! let reader = StoreReader::open(&store.bytes).unwrap();
 //! let region = reader
@@ -99,6 +103,5 @@ pub use source::FileSource;
 pub use source::MmapSource;
 pub use source::{ByteSource, SliceSource};
 pub use writer::{
-    process_peak_rss, PipelineStoreExt, StoreWriteOptions, StoreWriteStats, StoreWriter,
-    StoreWritten, StreamOptions,
+    process_peak_rss, StoreWriteOptions, StoreWriteStats, StoreWriter, StoreWritten, StreamOptions,
 };

@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
-use zmesh::{codec_for, crc32, CompressionConfig, GroupingMode, Pipeline, ZmeshError};
+use zmesh::{codec_for, crc32, CompressionConfig, GroupingMode, ZmeshError};
 use zmesh_amr::AmrField;
 use zmesh_codecs::{Codec, CodecError, CodecParams, ErrorControl, ValueType};
 
@@ -358,7 +358,7 @@ impl StoreWriter {
         // Reorder, one parallel job per field. Each job also resolves the
         // error bound against its *whole* stream, so every chunk of a
         // field honors the same pointwise absolute bound and the result is
-        // distortion-identical to the monolithic path.
+        // distortion-identical to a one-chunk-per-field write.
         let t1 = Instant::now();
         let reordered: Vec<(Vec<f64>, Option<f64>, u64)> = fields
             .par_iter()
@@ -684,20 +684,6 @@ impl StoreWriter {
     }
 }
 
-/// Chunked-store entry point hung off the core [`Pipeline`]: `pack` is to
-/// the v2 store what [`Pipeline::compress`] is to the v1 container.
-pub trait PipelineStoreExt {
-    /// Packs `fields` into a chunked, indexed v2 store using this
-    /// pipeline's configuration and default chunking.
-    fn pack(&self, fields: &[(&str, &AmrField)]) -> Result<StoreWritten, StoreError>;
-}
-
-impl PipelineStoreExt for Pipeline {
-    fn pack(&self, fields: &[(&str, &AmrField)]) -> Result<StoreWritten, StoreError> {
-        StoreWriter::new(self.config()).write(fields)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,16 +881,15 @@ mod tests {
             writer.write(&mixed),
             Err(StoreError::Zmesh(ZmeshError::Mismatch(_)))
         ));
+        let leaf = AmrField::sample(std::sync::Arc::clone(&a.tree), StorageMode::LeafOnly, |p| {
+            p[0]
+        });
+        let modes = vec![("x", &a.fields[0].1), ("y", &leaf)];
+        assert!(matches!(
+            writer.write(&modes),
+            Err(StoreError::Zmesh(ZmeshError::Mismatch(_)))
+        ));
         assert!(writer.write(&[]).is_err());
-    }
-
-    #[test]
-    fn pipeline_pack_wires_through() {
-        let ds = datasets::advect2d(StorageMode::LeafOnly, datasets::Scale::Tiny);
-        let out = Pipeline::new(CompressionConfig::zmesh_default())
-            .pack(&small_fields(&ds))
-            .unwrap();
-        assert!(crate::format::is_store(&out.bytes));
     }
 
     #[test]

@@ -47,13 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let density = AmrField::from_values(Arc::clone(&tree), StorageMode::AllCells, density_values)?;
     let vx = AmrField::sample(Arc::clone(&tree), StorageMode::AllCells, |p| p[0] - p[1]);
 
-    // 3. Compress both quantities in one container.
-    let pipeline = Pipeline::new(CompressionConfig {
+    // 3. Compress both quantities into one store.
+    let writer = StoreWriter::new(CompressionConfig {
         policy: OrderingPolicy::Hilbert,
         codec: CodecKind::Sz,
         control: ErrorControl::ValueRangeRelative(1e-5),
     });
-    let compressed = pipeline.compress(&[("density", &density), ("vx", &vx)])?;
+    let compressed = writer.write(&[("density", &density), ("vx", &vx)])?;
     println!(
         "compressed {} -> {} bytes (ratio {:.2})",
         compressed.stats.raw_bytes,
@@ -62,13 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Selective read-back: list the fields, decode just one.
-    println!(
-        "container fields: {:?}",
-        Pipeline::list_fields(&compressed.bytes)?
-    );
-    let (restored_tree, restored_density) =
-        Pipeline::decompress_field(&compressed.bytes, "density")?;
-    assert_eq!(restored_tree.cell_count(), tree.cell_count());
+    let reader = StoreReader::open(&compressed.bytes)?;
+    println!("store fields: {:?}", reader.field_names());
+    let restored_density = reader.decode_field("density")?;
+    assert_eq!(reader.tree().cell_count(), tree.cell_count());
     let err = max_abs_error(density.values(), restored_density.values());
     println!("density restored selectively, max error {err:.2e}");
     Ok(())

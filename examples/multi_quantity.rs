@@ -48,7 +48,8 @@ fn main() {
             .iter()
             .map(|(n, f)| (n.as_str(), f))
             .collect();
-        let c = Pipeline::new(config).compress(&fields).expect("compress");
+        // A fresh writer per run, so each run builds the recipe once.
+        let c = StoreWriter::new(config).write(&fields).expect("compress");
         let recipe_ms = c.stats.recipe_ns as f64 / 1e6;
         let total_ms = (c.stats.recipe_ns + c.stats.reorder_ns + c.stats.encode_ns) as f64 / 1e6;
         // The one-time recipe's share of the whole run shrinks as more

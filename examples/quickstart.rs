@@ -1,4 +1,5 @@
-//! Quickstart: compress an AMR dataset with and without zMesh reordering.
+//! Quickstart: compress an AMR dataset into a store with and without zMesh
+//! reordering, then read it back.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -33,7 +34,7 @@ fn main() {
             codec: CodecKind::Sz,
             control: ErrorControl::ValueRangeRelative(1e-4),
         };
-        let compressed = Pipeline::new(config).compress(&fields).expect("compress");
+        let compressed = StoreWriter::new(config).write(&fields).expect("compress");
         println!(
             "{:<10} {:>12} {:>10.2}",
             policy.label(),
@@ -42,9 +43,9 @@ fn main() {
         );
 
         // 3. Decompress and verify the error bound end to end.
-        let restored = Pipeline::decompress(&compressed.bytes).expect("decompress");
-        for ((name, orig), (rname, rest)) in ds.fields.iter().zip(&restored.fields) {
-            assert_eq!(name, rname);
+        let reader = StoreReader::open(&compressed.bytes).expect("open");
+        for (name, orig) in &ds.fields {
+            let rest = reader.decode_field(name).expect("decompress");
             let err = max_abs_error(orig.values(), rest.values());
             let range: f64 = {
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);

@@ -48,14 +48,16 @@ fn main() {
                 codec: CodecKind::Sz,
                 control: ErrorControl::ValueRangeRelative(eb),
             };
-            Pipeline::new(config)
-                .compress(&[("scalar", &field)])
+            StoreWriter::new(config)
+                .write(&[("scalar", &field)])
                 .expect("compress")
         };
         let base = run(OrderingPolicy::LevelOrder);
         let zm = run(OrderingPolicy::Hilbert);
-        let restored = Pipeline::decompress(&zm.bytes).expect("decompress");
-        let stats = ErrorStats::between(field.values(), restored.fields[0].1.values());
+        let restored = StoreReader::open(&zm.bytes)
+            .and_then(|r| r.decode_field("scalar"))
+            .expect("decompress");
+        let stats = ErrorStats::between(field.values(), restored.values());
         println!(
             "{:>9.0e} {:>12.2} {:>12.2} {:>9.1} {:>10.1}",
             eb,

@@ -1,8 +1,8 @@
 # Developer entry points. `just verify` is the pre-merge gate; it runs the
 # same steps as scripts/verify.sh (tier-1 build + tests, workspace tests,
-# fmt --check, clippy -D warnings). Everything builds offline: external
-# dependency names resolve to workspace-local shims under vendor/ (see
-# vendor/README.md).
+# experiment and shell smokes, fmt --check, clippy -D warnings). Everything
+# builds offline: external dependency names resolve to workspace-local
+# shims under vendor/ (see vendor/README.md).
 
 # Run the full verification gate.
 verify:
@@ -85,6 +85,11 @@ perfbench-trace workload seed="1" seconds="30":
 # Regenerate every reconstructed paper artifact.
 repro scale="small":
     cargo run --release -p zmesh-bench --bin repro -- all --scale {{scale}}
+
+# Experiment smoke: every paper experiment at Tiny scale (about a second),
+# tables discarded; the same step runs inside scripts/verify.sh.
+repro-smoke:
+    cargo run --release --quiet -p zmesh-bench --bin repro -- all --scale tiny >/dev/null
 
 # Workspace size the way CHANGES.md reports it: tracked .rs/.sh lines,
 # with and without vendor/.

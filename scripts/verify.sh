@@ -44,6 +44,14 @@ step env ZMESH_FORCE_SCALAR=1 cargo test -q --release -p zmesh-kernels -p zmesh 
 # own manifest path.
 step cargo test -q --release --manifest-path perfbench/Cargo.toml
 
+# Experiment smoke: every paper experiment runs end to end at Tiny scale
+# (about a second), so each one executes on every verify instead of only
+# compiling. The tables go to /dev/null; a failed check exits nonzero.
+repro_smoke() {
+    cargo run --release --quiet -p zmesh-bench --bin repro -- all --scale tiny >/dev/null
+}
+step repro_smoke
+
 # Self-healing smoke: pack → inject fault → scrub → repair → bit-exact.
 step bash scripts/scrub_smoke.sh
 

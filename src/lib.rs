@@ -8,7 +8,7 @@
 //! The individual crates are:
 //!
 //! * [`zmesh`] — the paper's contribution: AMR stream reordering with a
-//!   re-generated restore recipe, plus the end-to-end compression pipeline.
+//!   re-generated restore recipe, plus the compression configuration.
 //! * [`amr`] — the adaptive-mesh-refinement substrate (trees, fields,
 //!   generators, mini-solvers, dataset presets).
 //! * [`sfc`] — space-filling curves (Morton, Hilbert, row-major).
@@ -16,7 +16,7 @@
 //! * [`codecs`] — SZ-like and ZFP-like error-bounded lossy compressors and
 //!   the lossless substrate (Huffman, range coder, Gorilla, RLE, LZSS).
 //! * [`metrics`] — smoothness, distortion, and ratio metrics.
-//! * [`store`] — the chunked, indexed v2/v3/v4 container with
+//! * [`store`] — the on-disk format: the chunked, indexed v2/v3/v4 store with
 //!   random-access region queries, a recipe cache, XOR or Reed–Solomon
 //!   parity self-healing (scrub/repair/repair-from-raw), and a
 //!   crash-consistent writer (atomic persist + commit record).
@@ -31,14 +31,14 @@ pub use zmesh_store as store;
 
 /// One-stop import for examples and tests.
 pub mod prelude {
-    pub use zmesh::{CompressionConfig, GroupingMode, OrderingPolicy, Pipeline, RestoreRecipe};
+    pub use zmesh::{CompressionConfig, GroupingMode, OrderingPolicy, RestoreRecipe};
     pub use zmesh_amr::{datasets, AmrField, AmrTree, Dim, FieldFn, RefineCriterion, TreeBuilder};
     pub use zmesh_codecs::{Codec, CodecKind, CodecParams};
     pub use zmesh_metrics::{compression_ratio, max_abs_error, psnr, total_variation};
     pub use zmesh_sfc::{Curve, CurveKind};
     pub use zmesh_store::{
-        persist_store, repair, repair_with, scrub, Parity, PipelineStoreExt, Query, RawSource,
-        ReadPolicy, RecipeCache, RepairOutcome, SalvageFill, ScrubReport, StoreError, StoreReader,
+        persist_store, repair, repair_with, scrub, Parity, Query, RawSource, ReadPolicy,
+        RecipeCache, RepairOutcome, SalvageFill, ScrubReport, StoreError, StoreReader,
         StoreWriteOptions, StoreWriter,
     };
 }

@@ -1,99 +1,15 @@
-//! Failure injection: corrupted, truncated, and bit-flipped containers must
-//! produce typed errors or (for payload-region damage) bounded garbage —
-//! never panics, hangs, or out-of-bounds behavior.
+//! Failure injection: corrupted, truncated, and bit-flipped stores must
+//! produce typed errors — never panics, hangs, or out-of-bounds behavior.
+//! The index CRC and per-chunk CRCs turn every injected fault into a typed
+//! error instead of bounded garbage.
 
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::ErrorControl;
 use zmesh_suite::prelude::*;
 
-fn container() -> Vec<u8> {
-    let ds = datasets::front2d(StorageMode::AllCells, Scale::Tiny);
-    let fields: Vec<(&str, &zmesh_amr::AmrField)> =
-        ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
-    Pipeline::new(CompressionConfig {
-        policy: OrderingPolicy::Hilbert,
-        codec: CodecKind::Sz,
-        control: ErrorControl::ValueRangeRelative(1e-4),
-    })
-    .compress(&fields)
-    .expect("compress")
-    .bytes
-}
-
-#[test]
-fn every_truncation_point_errors_cleanly() {
-    let bytes = container();
-    for cut in 0..bytes.len().min(64) {
-        assert!(Pipeline::decompress(&bytes[..cut]).is_err(), "cut = {cut}");
-    }
-    // Also a spread of larger cuts.
-    for frac in 1..20 {
-        let cut = bytes.len() * frac / 20;
-        let _ = Pipeline::decompress(&bytes[..cut]); // must not panic
-    }
-}
-
-#[test]
-fn single_byte_flips_never_panic() {
-    let bytes = container();
-    // Deterministic pseudo-random positions covering header and payload.
-    let mut pos = 1u64;
-    for _ in 0..400 {
-        pos = pos
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let idx = (pos % bytes.len() as u64) as usize;
-        let bit = 1u8 << (pos >> 61);
-        let mut corrupted = bytes.clone();
-        corrupted[idx] ^= bit;
-        let _ = Pipeline::decompress(&corrupted); // Err or garbage, no panic
-    }
-}
-
-#[test]
-fn random_garbage_never_panics() {
-    let mut state = 42u64;
-    for len in [0usize, 1, 4, 5, 16, 100, 1000] {
-        let mut buf = vec![0u8; len];
-        for b in &mut buf {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *b = (state >> 56) as u8;
-        }
-        let _ = Pipeline::decompress(&buf);
-    }
-}
-
-#[test]
-fn swapped_payloads_fail_or_restore_wrong_but_safely() {
-    // Graft the payload of one container onto another's header region by
-    // concatenation tricks: parsing must stay memory-safe.
-    let a = container();
-    let mut frankenstein = a.clone();
-    frankenstein.extend_from_slice(&a);
-    assert!(
-        Pipeline::decompress(&frankenstein).is_err(),
-        "trailing bytes accepted"
-    );
-}
-
-#[test]
-fn structure_metadata_corruption_is_detected() {
-    let bytes = container();
-    // The structure block starts right after magic+version+3 tags+varint.
-    // Flip bytes early in the container (structure region): the tree
-    // re-validation must catch inconsistencies rather than panic.
-    for idx in 8..40usize.min(bytes.len()) {
-        let mut corrupted = bytes.clone();
-        corrupted[idx] = corrupted[idx].wrapping_add(13);
-        let _ = Pipeline::decompress(&corrupted);
-    }
-}
-
-// ---- v2 chunked store (the same contract, plus stronger guarantees: the
-// ---- index CRC and per-chunk CRCs turn "bounded garbage" into typed
-// ---- errors). The CLI path — distinct exit codes for the same injected
-// ---- failures — is covered in crates/cli/tests/cli.rs.
+// The CLI path — distinct exit codes for the same injected failures — is
+// covered in crates/cli/tests/cli.rs.
 
 fn store() -> Vec<u8> {
     let ds = datasets::front2d(StorageMode::AllCells, Scale::Tiny);
@@ -136,9 +52,9 @@ fn store_truncations_error_cleanly() {
 
 #[test]
 fn store_single_byte_flips_are_typed_errors_not_garbage() {
-    // Stronger than v1: every single-byte flip anywhere in the store is
-    // *detected* — header/footer flips by the index CRC, payload flips by
-    // the per-chunk CRC. (Exception-free: a flip cannot go unnoticed.)
+    // Every single-byte flip anywhere in the store is *detected* —
+    // header/footer flips by the index CRC, payload flips by the per-chunk
+    // CRC. (Exception-free: a flip cannot go unnoticed.)
     let bytes = store();
     let mut pos = 7u64;
     for _ in 0..300 {
@@ -166,6 +82,62 @@ fn store_random_garbage_never_panics() {
             *b = (state >> 56) as u8;
         }
         assert!(store_decode_all(&buf).is_err());
+    }
+}
+
+#[test]
+fn swapped_payloads_fail_or_restore_wrong_but_safely() {
+    use zmesh_suite::store::open_parts;
+    // A store followed by a second copy of itself: trailing bytes must not
+    // be accepted.
+    let a = store();
+    let mut doubled = a.clone();
+    doubled.extend_from_slice(&a);
+    assert!(
+        store_decode_all(&doubled).is_err(),
+        "trailing bytes accepted"
+    );
+
+    // Graft the payload of a differently ordered store between this one's
+    // header and footer: the footer's offsets and CRCs no longer describe
+    // the payload, so decoding must fail, never panic.
+    let ds = datasets::front2d(StorageMode::AllCells, Scale::Tiny);
+    let fields: Vec<(&str, &zmesh_amr::AmrField)> =
+        ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
+    let b = StoreWriter::new(CompressionConfig {
+        policy: OrderingPolicy::ZOrder,
+        codec: CodecKind::Sz,
+        control: ErrorControl::ValueRangeRelative(1e-4),
+    })
+    .with_chunk_target_bytes(2048)
+    .write(&fields)
+    .expect("write store")
+    .bytes;
+    let (_, _, a_payload) = open_parts(&a).expect("valid store");
+    let (_, _, b_payload) = open_parts(&b).expect("valid store");
+    let mut grafted = a[..a_payload.start].to_vec();
+    grafted.extend_from_slice(&b[b_payload]);
+    grafted.extend_from_slice(&a[a_payload.end..]);
+    assert!(
+        store_decode_all(&grafted).is_err(),
+        "grafted payload accepted"
+    );
+}
+
+#[test]
+fn structure_metadata_corruption_is_detected() {
+    // Damage the structure block the restore recipe is rebuilt from: the
+    // index CRC must reject it before the tree decode runs.
+    let bytes = store();
+    let header = zmesh_suite::store::peek_header(&bytes).expect("valid store");
+    let structure_at = header.header_bytes - header.structure.len();
+    for idx in structure_at..header.header_bytes.min(structure_at + 32) {
+        let mut corrupted = bytes.clone();
+        corrupted[idx] = corrupted[idx].wrapping_add(13);
+        assert!(
+            store_decode_all(&corrupted).is_err(),
+            "structure byte {idx} damage went undetected"
+        );
     }
 }
 

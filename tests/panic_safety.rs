@@ -1,10 +1,10 @@
 //! Panic-safety property suite for the untrusted read path.
 //!
-//! Every parser that accepts bytes from disk — the v1 container
-//! ([`zmesh::ContainerHeader::parse`], [`Pipeline::decompress`]) and the
-//! v2/v3/v4 store ([`zmesh_suite::store::open_parts`], [`StoreReader::open`],
-//! [`zmesh_suite::store::scrub`], [`zmesh_suite::store::repair`]) — must
-//! return an `Err` on hostile input, never panic, abort, or wrap around.
+//! Every parser that accepts bytes from disk — the v2/v3/v4 store
+//! ([`zmesh_suite::store::open_parts`], [`StoreReader::open`],
+//! [`zmesh_suite::store::scrub`], [`zmesh_suite::store::repair`]) and the
+//! codecs behind it — must return an `Err` on hostile input, never panic,
+//! abort, or wrap around.
 //! (A torn v4 tail is an `Err` too — [`StoreError::Torn`] — just a typed
 //! one.) The suite feeds each of them:
 //!
@@ -18,7 +18,7 @@
 //! * pure random garbage.
 //!
 //! Failures here are exactly the class fixed by the checked-add hardening
-//! in `read_container` / the store footer parser: in debug builds an
+//! in the store footer parser: in debug builds an
 //! unchecked `pos + len` panics on overflow, in release it wraps and can
 //! slice out of bounds.
 
@@ -42,15 +42,22 @@ fn refs(ds: &datasets::Dataset) -> Vec<(&str, &AmrField)> {
     ds.fields.iter().map(|(n, f)| (n.as_str(), f)).collect()
 }
 
-/// A valid v1 container, built once.
-fn v1_bytes() -> &'static [u8] {
+/// A valid one-chunk-per-field v2 store (whole-field codec streams),
+/// built once.
+fn one_chunk_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let ds = datasets::blast2d(StorageMode::AllCells, Scale::Tiny);
-        Pipeline::new(config())
-            .compress(&refs(&ds))
-            .expect("compress fixture")
-            .bytes
+        StoreWriter::with_options(
+            config(),
+            StoreWriteOptions {
+                chunk_target_bytes: u32::MAX,
+                parity: Parity::None,
+            },
+        )
+        .write(&refs(&ds))
+        .expect("write fixture")
+        .bytes
     })
 }
 
@@ -81,11 +88,11 @@ fn v4_bytes() -> &'static [u8] {
     })
 }
 
-/// Picks a store-generation fixture: 0 = v1 container, 1 = v3 XOR store,
-/// 2 = v4 RS store.
+/// Picks a store-generation fixture: 0 = one-chunk v2 store, 1 = v3 XOR
+/// store, 2 = v4 RS store.
 fn fixture(kind: usize) -> &'static [u8] {
     match kind {
-        0 => v1_bytes(),
+        0 => one_chunk_bytes(),
         1 => v2_bytes(),
         _ => v4_bytes(),
     }
@@ -95,9 +102,6 @@ fn fixture(kind: usize) -> &'static [u8] {
 /// function without a panic IS the property; the `Result`s are free to be
 /// `Err` anything.
 fn must_not_panic(bytes: &[u8]) {
-    let _ = zmesh::ContainerHeader::parse(bytes);
-    let _ = Pipeline::list_fields(bytes);
-    let _ = Pipeline::decompress(bytes);
     let _ = store::peek_header(bytes);
     let _ = store::open_parts(bytes);
     let _ = store::scrub(bytes);
@@ -217,12 +221,7 @@ proptest! {
         // the first gate into the length-field logic.
         let mut bytes = bytes;
         if magic && bytes.len() >= 4 {
-            let m = if bytes[0] & 1 == 0 {
-                zmesh::CONTAINER_MAGIC
-            } else {
-                &store::STORE_MAGIC
-            };
-            bytes[..4].copy_from_slice(m);
+            bytes[..4].copy_from_slice(&store::STORE_MAGIC);
         }
         must_not_panic(&bytes);
     }
@@ -481,5 +480,52 @@ fn non_finite_or_negative_footer_bounds_are_corrupt() {
             "{tag} {value}: {opened:?}"
         );
         assert!(matches!(store::scrub(&bytes), Err(StoreError::Corrupt(_))));
+    }
+}
+
+/// ZFP streams whose header counts would size allocations from untrusted
+/// input: dims whose product overflows, a value count no payload could
+/// hold, and superblock lengths whose sum overflows. Each must be a typed
+/// error before `block_origins` or the output buffer is sized.
+#[test]
+fn hostile_zfp_counts_are_typed_errors() {
+    use zmesh_codecs::{Codec, CodecError, ZfpCodec};
+    // `ZFR1`, value count, dims, accuracy mode, f64, tolerance 1e-3, then
+    // the superblock count and lengths.
+    let zfp = |n: u64, dims: [u64; 3], lens: &[u64], pad: usize| {
+        let mut out = b"ZFR1".to_vec();
+        varint(&mut out, n);
+        for d in dims {
+            varint(&mut out, d);
+        }
+        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(&1e-3f64.to_le_bytes());
+        varint(&mut out, lens.len() as u64);
+        for &l in lens {
+            varint(&mut out, l);
+        }
+        out.resize(out.len() + pad, 0);
+        out
+    };
+    let cases = [
+        // 2^32 × 2^32 over zero values: the product wraps to 0 in release.
+        (
+            zfp(0, [1 << 32, 1 << 32, 0], &[], 0),
+            "stored dims overflow",
+        ),
+        // 2^62 values (2^60 blocks) from a few bytes.
+        (zfp(1 << 62, [0; 3], &[1], 0), "value count exceeds payload"),
+        // 1028 values = 257 blocks = two superblocks, lengths summing to 2^64.
+        (
+            zfp(1028, [0; 3], &[1 << 63, 1 << 63], 12),
+            "superblock lengths overflow",
+        ),
+    ];
+    for (stream, why) in cases {
+        let got = std::panic::catch_unwind(|| ZfpCodec::new().decompress(&stream));
+        assert!(
+            matches!(got, Ok(Err(CodecError::Corrupt(w))) if w == why),
+            "{why}: {got:?}"
+        );
     }
 }

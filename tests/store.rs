@@ -1,6 +1,6 @@
 //! Integration tests for the chunked, indexed v2 store: round-trip and
 //! region-query correctness, chunk-selectivity, recipe-cache amortization,
-//! and the zero-overhead invariant carried over from the v1 container.
+//! and the zero-overhead invariant.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,7 +86,7 @@ fn recipe_cache_amortizes_across_writes() {
     drop(reader);
 }
 
-/// The v1 zero-overhead invariant holds for v2: chunk framing is by value
+/// The zero-overhead invariant holds at any chunking: framing is by value
 /// count, so index/metadata size is byte-for-byte independent of the
 /// ordering policy — no recipe (or anything derived from it) is stored.
 #[test]
@@ -171,8 +171,8 @@ proptest! {
 #[test]
 fn pipeline_pack_and_shared_tree_arc() {
     let ds = datasets::advect2d(StorageMode::LeafOnly, Scale::Tiny);
-    let out = Pipeline::new(config(OrderingPolicy::Hilbert))
-        .pack(&refs(&ds))
+    let out = StoreWriter::new(config(OrderingPolicy::Hilbert))
+        .write(&refs(&ds))
         .expect("pack");
     let reader = StoreReader::open(&out.bytes).expect("open");
     let field = reader.decode_field("scalar").expect("decode");
