@@ -18,7 +18,7 @@
 
 use crate::ordering::{GroupingMode, OrderingPolicy};
 use zmesh_amr::{AmrTree, Cell};
-use zmesh_sfc::{AnchoredIndexer, CurveKind};
+use zmesh_sfc::AnchoredIndexer;
 
 /// A permutation between storage order and stream (curve) order.
 ///
@@ -56,22 +56,32 @@ impl RestoreRecipe {
     /// the tree structure (which every AMR container carries), so nothing
     /// recipe-related is ever written to storage.
     pub fn build(tree: &AmrTree, policy: OrderingPolicy, grouping: GroupingMode) -> Self {
-        let n = match grouping {
-            GroupingMode::LeafOnly => tree.leaf_count(),
-            GroupingMode::Chained => tree.cell_count(),
-        };
-        let perm = match policy.curve() {
-            None => (0..n as u32).collect(),
-            Some(curve) => {
+        Self::build_keyed(tree, policy, grouping).0
+    }
+
+    /// [`RestoreRecipe::build`], also handing back the curve keys the sort
+    /// ran on: [`anchor_keys`] in storage order (`None` under level order).
+    /// A writer plans its chunks from them instead of keying every cell a
+    /// second time; the recipe itself keeps no keys.
+    pub fn build_keyed(
+        tree: &AmrTree,
+        policy: OrderingPolicy,
+        grouping: GroupingMode,
+    ) -> (Self, Option<Vec<u64>>) {
+        let keys = anchor_keys(tree, policy, grouping);
+        let perm = match &keys {
+            None => (0..stream_len(tree, grouping) as u32).collect(),
+            Some(keys) => {
                 let key_bits = tree.dim().rank() as u32 * tree.finest_bits();
-                radix_sort_positions(&anchor_keys(tree, curve, grouping), key_bits)
+                radix_sort_positions(keys, key_bits)
             }
         };
-        Self {
+        let recipe = Self {
             perm,
             policy,
             grouping,
-        }
+        };
+        (recipe, keys)
     }
 
     /// Stream length.
@@ -123,9 +133,25 @@ impl RestoreRecipe {
     }
 }
 
-/// The curve index of each stream point's anchor, in storage order: all
-/// cells (level-major) for Chained, the leaves for LeafOnly.
-fn anchor_keys(tree: &AmrTree, curve: CurveKind, grouping: GroupingMode) -> Vec<u64> {
+/// Stream points of `tree` under `grouping`: every cell for Chained, the
+/// leaves for LeafOnly.
+fn stream_len(tree: &AmrTree, grouping: GroupingMode) -> usize {
+    match grouping {
+        GroupingMode::LeafOnly => tree.leaf_count(),
+        GroupingMode::Chained => tree.cell_count(),
+    }
+}
+
+/// The curve index of each stream point's anchor under `policy`, in
+/// storage order: all cells (level-major) for Chained, the leaves for
+/// LeafOnly. `None` under level order, where no curve backs the stream.
+/// The recipe sorts on these keys; a chunk's curve interval is their span.
+pub fn anchor_keys(
+    tree: &AmrTree,
+    policy: OrderingPolicy,
+    grouping: GroupingMode,
+) -> Option<Vec<u64>> {
+    let curve = policy.curve()?;
     let dims = tree.dim().rank() as u32;
     let tile_shift = tree.patch_size().trailing_zeros();
     let mut keys = AnchoredIndexer::new(curve, dims, tree.finest_bits(), tile_shift);
@@ -137,10 +163,10 @@ fn anchor_keys(tree: &AmrTree, curve: CurveKind, grouping: GroupingMode) -> Vec<
             max_level - cell.level,
         )
     };
-    match grouping {
+    Some(match grouping {
         GroupingMode::LeafOnly => tree.leaves().map(key).collect(),
         GroupingMode::Chained => tree.cells().iter().map(key).collect(),
-    }
+    })
 }
 
 /// Positions `0..keys.len()` in stable LSD radix order of `keys`, of which

@@ -82,6 +82,12 @@ perfbench workload seed="1" seconds="30":
 perfbench-trace workload seed="1" seconds="30":
     cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace 1
 
+# Alternating perfbench pairs of a base revision against the working tree:
+# per end-to-end metric, each side's median and quartiles and the change's
+# win count (e.g. `just perf-pairs HEAD pack 10`).
+perf-pairs rev workload pairs seconds="30":
+    bash scripts/perf_pairs.sh {{rev}} {{workload}} {{pairs}} {{seconds}}
+
 # Regenerate every reconstructed paper artifact.
 repro scale="small":
     cargo run --release -p zmesh-bench --bin repro -- all --scale {{scale}}
