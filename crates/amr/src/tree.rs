@@ -39,6 +39,34 @@ pub struct Cell {
     pub is_leaf: bool,
 }
 
+/// The parent → child links of an [`AmrTree`], laid out by the tree
+/// decode for a depth-first walk ([`AmrTree::links`]).
+///
+/// ```
+/// use zmesh_amr::{AmrTree, CellCoord, Dim};
+///
+/// // A 2×2 grid whose cell (1, 0) is refined.
+/// let refined = vec![vec![CellCoord::new(1, 0, 0).pack()]];
+/// let tree = AmrTree::from_refined(Dim::D2, [2, 2, 1], refined).unwrap();
+/// let links = tree.links();
+/// let parent = links.slots[1]; // level-0 cell (1, 0)
+/// assert!(!tree.cells()[parent as usize].is_leaf);
+/// let first = links.links[parent as usize] as usize;
+/// let child = links.slots[first + 0b11] as usize; // child (x+1, y+1)
+/// assert_eq!(tree.cells()[child].coord, CellCoord::new(3, 1, 0));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct TreeLinks<'a> {
+    /// Storage indices: the level-0 cells in (z,y,x) order, then each
+    /// deeper level's cells grouped by parent, `2^d` per refined cell in
+    /// child-bit order (x | y<<1 | z<<2). Level `l` fills the same index
+    /// range here as in [`AmrTree::cells`].
+    pub slots: &'a [u32],
+    /// Per storage index: a leaf's index into [`AmrTree::leaf_indices`],
+    /// or where a refined cell's children start in `slots`.
+    pub links: &'a [u32],
+}
+
 /// Default patch (block) side length: FLASH-style 8-cell blocks.
 pub const DEFAULT_PATCH_SHIFT: u32 = 3;
 
@@ -62,6 +90,10 @@ pub struct AmrTree {
     cells: Vec<Cell>,
     /// Indices into `cells` of the leaves, in storage order.
     leaf_indices: Vec<u32>,
+    /// See [`TreeLinks::slots`].
+    slots: Vec<u32>,
+    /// See [`TreeLinks::links`].
+    links: Vec<u32>,
     /// First cell index of each level (length `max_level + 2`, sentinel last).
     level_starts: Vec<usize>,
 }
@@ -127,55 +159,90 @@ impl AmrTree {
             return Err(AmrError::InvalidStructure("more cells than u32 indices"));
         }
 
-        // Enumerate existing cells level by level. `current` holds the
-        // level's cells as sorted packed keys; every scratch array below is
-        // sized from it, and it only grows from validated refined sets.
-        let mut cells: Vec<Cell> = Vec::new();
-        let mut leaf_indices: Vec<u32> = Vec::new();
+        // Every array is sized once, from the refined counts. Each level is
+        // generated in (z,y,x) order from the refined cells above it and
+        // scattered straight to its storage slots; the refined set is
+        // validated against the generated cells as they pass.
+        let (cell_count, refined_count) = planned_sizes(dim, base_cells, &refined);
+        let mut cells: Vec<Cell> = Vec::with_capacity(cell_count);
+        let mut leaf_indices: Vec<u32> = Vec::with_capacity(cell_count - refined_count);
+        let mut slots: Vec<u32> = Vec::with_capacity(cell_count);
+        let mut links: Vec<u32> = Vec::with_capacity(cell_count);
         let mut level_starts = Vec::with_capacity(refined.len() + 2);
-        let mut current: Vec<u64> = {
-            // Level 0: the whole base grid in (z,y,x) order.
-            let mut v = Vec::with_capacity(base_cells as usize);
-            for z in 0..base[2] as u32 {
-                for y in 0..base[1] as u32 {
-                    for x in 0..base[0] as u32 {
-                        v.push(CellCoord::new(x, y, z).pack());
-                    }
-                }
-            }
-            v
-        };
+        let nch = dim.children();
+        let mut tiles = Tiles::base(base, patch_shift);
+        // Tile ordinal of each refined cell of the level above.
+        let mut parent_tiles: Vec<u32> = Vec::new();
 
         for level in 0..=max_level {
-            level_starts.push(cells.len());
-            let refined_here: &[u64] = if level < max_level {
-                &refined[level as usize]
-            } else {
-                &[]
+            let start = cells.len();
+            level_starts.push(start);
+            let parents = level.checked_sub(1).map(|l| refined[l as usize].as_slice());
+            let refined_here: &[u64] = refined.get(level as usize).map_or(&[], Vec::as_slice);
+            if let Some(parents) = parents {
+                tiles = tiles.children(dim, parents, &parent_tiles, patch_shift);
+            }
+            let generation = Generation {
+                dim,
+                base,
+                patch_shift,
+                parents,
+                parent_tiles: &parent_tiles,
+                tiles: &tiles,
             };
             // Validate the refined set: sorted, unique, and existing.
             if refined_here.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(AmrError::InvalidStructure("refined set not sorted/unique"));
             }
-            let is_refined = refined_flags(&current, refined_here)?;
-            let total = cells.len() as u64 + current.len() as u64;
-            if total > u64::from(u32::MAX) {
+            let n = parents.map_or(base_cells as usize, |p| p.len() * nch);
+            let mut found = Found::new(refined_here);
+            if start as u64 + n as u64 > u64::from(u32::MAX) {
+                generation.run(|key, _, _| {
+                    found.check(key);
+                });
+                found.finish()?;
                 return Err(AmrError::InvalidStructure("more cells than u32 indices"));
             }
-            cells.reserve_exact(current.len());
-            leaf_indices.reserve_exact(current.len() - refined_here.len());
-            for i in storage_order(&current, patch_shift, ranks) {
-                let i = i as usize;
-                if !is_refined[i] {
-                    leaf_indices.push(cells.len() as u32);
+
+            // Scatter the level: tile buckets laid out rank-major, cells in
+            // generation order within a tile. A refined cell links to its
+            // children, which the next level places right after this one,
+            // 2^d per parent in refined-set order.
+            let mut next = tiles.bucket_starts(ranks);
+            let first_child = (start + n) as u32;
+            let placeholder = Cell {
+                level,
+                coord: CellCoord::new(0, 0, 0),
+                is_leaf: true,
+            };
+            cells.resize(start + n, placeholder);
+            links.resize(start + n, 0);
+            slots.resize(start + n, 0);
+            let mut next_parent_tiles = Vec::with_capacity(refined_here.len());
+            generation.run(|key, tile, slot| {
+                let at = &mut next[tile as usize];
+                let storage = start + *at as usize;
+                *at += 1;
+                slots[start + slot as usize] = storage as u32;
+                let refined = found.check(key);
+                if let Some(rank) = refined {
+                    links[storage] = first_child + (rank * nch) as u32;
+                    next_parent_tiles.push(tile);
                 }
-                cells.push(Cell {
+                cells[storage] = Cell {
                     level,
-                    coord: CellCoord::unpack(current[i]),
-                    is_leaf: !is_refined[i],
-                });
+                    coord: CellCoord::unpack(key),
+                    is_leaf: refined.is_none(),
+                };
+            });
+            found.finish()?;
+            for (storage, cell) in (start..).zip(&cells[start..]) {
+                if cell.is_leaf {
+                    links[storage] = leaf_indices.len() as u32;
+                    leaf_indices.push(storage as u32);
+                }
             }
-            current = children_sorted(dim, refined_here);
+            parent_tiles = next_parent_tiles;
         }
         level_starts.push(cells.len());
 
@@ -188,6 +255,8 @@ impl AmrTree {
             refined,
             cells,
             leaf_indices,
+            slots,
+            links,
             level_starts,
         })
     }
@@ -254,6 +323,16 @@ impl AmrTree {
     /// Iterator over the leaves in storage order.
     pub fn leaves(&self) -> impl Iterator<Item = &Cell> + '_ {
         self.leaf_indices.iter().map(|&i| &self.cells[i as usize])
+    }
+
+    /// The tree as a depth-first walk reads it: every refined cell's
+    /// children and every leaf's leaf index, by storage index.
+    #[inline]
+    pub fn links(&self) -> TreeLinks<'_> {
+        TreeLinks {
+            slots: &self.slots,
+            links: &self.links,
+        }
     }
 
     /// Number of existing cells (all levels).
@@ -415,117 +494,276 @@ fn read_structure_head(
     Ok((dim, patch_shift, ranks, base))
 }
 
-/// Marks which of the level's cells (`current`, sorted) are refined, by
-/// one merge against the sorted, duplicate-free `refined` set. A refined key
-/// missing from `current` is an error.
-fn refined_flags(current: &[u64], refined: &[u64]) -> Result<Vec<bool>, AmrError> {
-    let missing = AmrError::InvalidStructure("refined cell does not exist");
-    let mut flags = vec![false; current.len()];
-    let mut want = refined.iter().peekable();
-    for (flag, &key) in flags.iter_mut().zip(current) {
-        match want.peek() {
-            Some(&&r) if r < key => return Err(missing),
-            Some(&&r) if r == key => {
-                *flag = true;
-                want.next();
-            }
-            _ => {}
+/// The lengths of `cells` and of the refined sets together, if every
+/// refined cell exists: `(0, 0)` when the counts alone show that one does
+/// not, or that the tree outgrows u32 indices (the decode rejects both).
+fn planned_sizes(dim: Dim, base_cells: u64, refined: &[Vec<u64>]) -> (usize, usize) {
+    let (mut cells, mut refined_cells, mut level) = (base_cells, 0u64, base_cells);
+    for set in refined {
+        let r = set.len() as u64;
+        if r > level {
+            return (0, 0);
+        }
+        level = r * dim.children() as u64;
+        cells += level;
+        refined_cells += r;
+        if cells > u64::from(u32::MAX) {
+            return (0, 0);
         }
     }
-    match want.next() {
-        Some(_) => Err(missing),
-        None => Ok(flags),
+    (cells as usize, refined_cells as usize)
+}
+
+/// A merge of a level's generated cells, in (z,y,x) order, against its
+/// sorted, duplicate-free refined set.
+struct Found<'a> {
+    refined: &'a [u64],
+    next: usize,
+    missing: bool,
+}
+
+impl<'a> Found<'a> {
+    fn new(refined: &'a [u64]) -> Self {
+        Self {
+            refined,
+            next: 0,
+            missing: false,
+        }
+    }
+
+    /// The rank in the refined set of the cell `key`, if it is refined.
+    /// Refined keys the generation has passed do not exist.
+    #[inline]
+    fn check(&mut self, key: u64) -> Option<usize> {
+        while self.refined.get(self.next).is_some_and(|&r| r < key) {
+            self.missing = true;
+            self.next += 1;
+        }
+        let hit = self.refined.get(self.next) == Some(&key);
+        hit.then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+
+    /// Errs if a refined key matched no generated cell.
+    fn finish(&self) -> Result<(), AmrError> {
+        match self.missing || self.next < self.refined.len() {
+            true => Err(AmrError::InvalidStructure("refined cell does not exist")),
+            false => Ok(()),
+        }
     }
 }
 
-/// The order real AMR files store a level in, as indices into `current`
-/// (the level's cells, sorted): aligned `2^patch_shift`-sided tiles are
-/// dealt round-robin to `ranks` writers in (z,y,x) tile order, the file is
-/// rank-major, tiles keep (z,y,x) order within a rank, and cells keep
-/// (z,y,x) order within a tile.
-///
-/// Each cell is mapped to its tile once, then a stable counting sort drops
-/// the cells into tile buckets laid out rank-major: O(n log T) for n cells
-/// in T tiles, the log from mapping a cell whose tile differs from its
-/// predecessor's.
-fn storage_order(current: &[u64], patch_shift: u32, ranks: u32) -> Vec<u32> {
-    let tile_of = |key: u64| -> u64 {
-        let c = CellCoord::unpack(key);
-        CellCoord::new(c.x >> patch_shift, c.y >> patch_shift, c.z >> patch_shift).pack()
-    };
-    // Sorted distinct tiles. Runs of cells along x share a tile, so drop
-    // repeats before sorting.
-    let mut tiles: Vec<u64> = Vec::new();
-    for &key in current {
-        let tile = tile_of(key);
-        if tiles.last() != Some(&tile) {
-            tiles.push(tile);
-        }
-    }
-    tiles.sort_unstable();
-    tiles.dedup();
-
-    let mut tile_idx = Vec::with_capacity(current.len());
-    let mut bucket = vec![0u32; tiles.len()];
-    let mut last: Option<(u64, usize)> = None;
-    for &key in current {
-        let tile = tile_of(key);
-        let t = match last {
-            Some((prev, t)) if prev == tile => t,
-            _ => {
-                let t = tiles
-                    .binary_search(&tile)
-                    .expect("tile of an existing cell");
-                last = Some((tile, t));
-                t
-            }
-        };
-        tile_idx.push(t as u32);
-        bucket[t] += 1;
-    }
-
-    // Turn the counts into bucket starts: tile t is written by rank
-    // t % ranks, ranks in order, tiles ascending within a rank.
-    let ranks = ranks as usize;
-    let mut next = 0u32;
-    for rank in 0..ranks.min(tiles.len()) {
-        for count in bucket.iter_mut().skip(rank).step_by(ranks) {
-            let start = next;
-            next += *count;
-            *count = start;
-        }
-    }
-    let mut order = vec![0u32; current.len()];
-    for (i, &t) in tile_idx.iter().enumerate() {
-        let slot = &mut bucket[t as usize];
-        order[*slot as usize] = i as u32;
-        *slot += 1;
-    }
-    order
+/// The storage tiles of one level that hold a cell: aligned
+/// `2^patch_shift`-sided blocks, numbered in (z,y,x) order.
+struct Tiles {
+    /// Packed tile coordinates, sorted (empty for 1-cell tiles, whose
+    /// ordinal is their cell's position in (z,y,x) order).
+    keys: Vec<u64>,
+    /// Cells per tile, by ordinal.
+    cells: Vec<u32>,
+    /// `child[t · 2^d + part]`: the ordinal of the tile that holds part
+    /// `part` of the level above's tile `t` (empty at level 0 and for
+    /// 1-cell tiles).
+    child: Vec<u32>,
 }
 
-/// The children of the sorted `parents`, sorted, without a sort: child
-/// (z,y,x) order is parent plane, then the z child, then parent row, then
-/// the y child, then parent x, then the x child.
-fn children_sorted(dim: Dim, parents: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(parents.len() * dim.children());
+impl Tiles {
+    /// Level 0: the tiles of the whole base grid.
+    fn base(base: [usize; 3], patch_shift: u32) -> Self {
+        let side = 1usize << patch_shift;
+        let [tx, ty, tz] = base.map(|b| b.div_ceil(side) as u32);
+        let mut cells = vec![0u32; (tx * ty * tz) as usize];
+        base_cells_in_order(base, patch_shift, |_, t, _| cells[t as usize] += 1);
+        let mut keys = Vec::with_capacity(cells.len());
+        for z in 0..tz {
+            for y in 0..ty {
+                for x in 0..tx {
+                    keys.push(CellCoord::new(x, y, z).pack());
+                }
+            }
+        }
+        Self {
+            keys,
+            cells,
+            child: Vec::new(),
+        }
+    }
+
+    /// The next level's tiles: the children of `refined` (this level's
+    /// refined keys, in tiles `parent_tiles`). A child tile is one
+    /// `2^d`-th part of a parent tile, and it holds cells exactly when the
+    /// parent tile holds a refined cell in that part, so the child tiles
+    /// come in (z,y,x) order without a sort — parent plane, z part, parent
+    /// row, y part, parent x, x part.
+    fn children(&self, dim: Dim, refined: &[u64], parent_tiles: &[u32], patch_shift: u32) -> Self {
+        let nch = dim.children();
+        if patch_shift == 0 {
+            return Self {
+                keys: Vec::new(),
+                cells: vec![1; refined.len() * nch],
+                child: Vec::new(),
+            };
+        }
+        // Cells per (parent tile, part) first; ordinals once enumerated.
+        let mut child = vec![0u32; self.cells.len() * nch];
+        for (&key, &t) in refined.iter().zip(parent_tiles) {
+            child[t as usize * nch + tile_part(key, patch_shift)] += nch as u32;
+        }
+        let (mut keys, mut cells) = (Vec::new(), Vec::new());
+        let z_parts = if dim == Dim::D3 { 2 } else { 1 };
+        for plane in runs(&self.keys, 0..self.keys.len(), 2 * COORD_BITS) {
+            for dz in 0..z_parts {
+                for row in runs(&self.keys, plane.clone(), COORD_BITS) {
+                    for dy in 0..2 {
+                        for t in row.clone() {
+                            let c = CellCoord::unpack(self.keys[t]);
+                            for dx in 0..2 {
+                                let at = t * nch + (dx | dy << 1 | dz << 2) as usize;
+                                if child[at] > 0 {
+                                    cells.push(child[at]);
+                                    child[at] = keys.len() as u32;
+                                    let (x, y, z) = (2 * c.x + dx, 2 * c.y + dy, 2 * c.z + dz);
+                                    keys.push(CellCoord::new(x, y, z).pack());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Self { keys, cells, child }
+    }
+
+    /// Where each tile's cells start in the level's storage order: tiles
+    /// are dealt round-robin to `ranks` writers in (z,y,x) tile order, the
+    /// file is rank-major, and tiles keep (z,y,x) order within a rank.
+    fn bucket_starts(&self, ranks: u32) -> Vec<u32> {
+        let ranks = ranks as usize;
+        let n = self.cells.len();
+        let mut starts = vec![0u32; n];
+        let mut next = 0u32;
+        for rank in 0..ranks.min(n) {
+            for t in (rank..n).step_by(ranks) {
+                starts[t] = next;
+                next += self.cells[t];
+            }
+        }
+        starts
+    }
+}
+
+/// Calls `f(key, tile, slot)` for every base-grid cell in (z,y,x) order:
+/// its packed coordinates, its tile ordinal ([`Tiles::base`]) and its
+/// position in the level's walk order (its (z,y,x) position).
+fn base_cells_in_order(base: [usize; 3], patch_shift: u32, mut f: impl FnMut(u64, u32, u32)) {
+    let [nx, ny, nz] = base.map(|b| b as u32);
+    let [tx, ty] = [nx, ny].map(|b| b.div_ceil(1 << patch_shift));
+    let mut slot = 0;
+    for z in 0..nz {
+        for y in 0..ny {
+            let row = tx * ((y >> patch_shift) + ty * (z >> patch_shift));
+            for x in 0..nx {
+                f(
+                    CellCoord::new(x, y, z).pack(),
+                    row + (x >> patch_shift),
+                    slot,
+                );
+                slot += 1;
+            }
+        }
+    }
+}
+
+/// What generates one level's cells: the base grid at level 0, else the
+/// children of the level above's refined cells.
+struct Generation<'a> {
+    dim: Dim,
+    base: [usize; 3],
+    patch_shift: u32,
+    /// The level above's refined keys (`None` at level 0).
+    parents: Option<&'a [u64]>,
+    /// Their tile ordinals.
+    parent_tiles: &'a [u32],
+    /// This level's tiles.
+    tiles: &'a Tiles,
+}
+
+impl Generation<'_> {
+    /// Calls `f(key, tile, slot)` for every cell of the level in (z,y,x)
+    /// order: its packed coordinates, its tile ordinal and its position in
+    /// the level's stretch of [`TreeLinks::slots`].
+    fn run(&self, f: impl FnMut(u64, u32, u32)) {
+        match self.parents {
+            None => base_cells_in_order(self.base, self.patch_shift, f),
+            Some(parents) => children_in_order(self, parents, f),
+        }
+    }
+}
+
+/// Calls `f(key, tile, slot)` for every child of the sorted `refined`
+/// keys in (z,y,x) order, without a sort — parent plane, z child, parent
+/// row, y child, parent x, x child. `tile` is the child's ordinal in the
+/// level's tiles, `slot` is `2^d · r` + its child bits, `r` its parent's
+/// rank in `refined`.
+fn children_in_order(gen: &Generation<'_>, refined: &[u64], mut f: impl FnMut(u64, u32, u32)) {
+    let (dim, patch_shift) = (gen.dim, gen.patch_shift);
+    let nch = dim.children();
     let z_children = if dim == Dim::D3 { 2 } else { 1 };
-    let same = |shift: u32| move |a: &u64, b: &u64| a >> shift == b >> shift;
-    for plane in parents.chunk_by(same(2 * COORD_BITS)) {
+    let mut generated = 0;
+    for plane in runs(refined, 0..refined.len(), 2 * COORD_BITS) {
         for dz in 0..z_children {
-            for row in plane.chunk_by(same(COORD_BITS)) {
+            for row in runs(refined, plane.clone(), COORD_BITS) {
                 for dy in 0..2 {
-                    for &key in row {
+                    for r in row.clone() {
+                        let key = refined[r];
+                        let tile = match patch_shift {
+                            0 => None,
+                            _ => {
+                                let t = gen.parent_tiles[r] as usize;
+                                Some(gen.tiles.child[t * nch + tile_part(key, patch_shift)])
+                            }
+                        };
                         let c = CellCoord::unpack(key);
                         let (y, z) = (2 * c.y + dy, 2 * c.z + dz);
-                        out.push(CellCoord::new(2 * c.x, y, z).pack());
-                        out.push(CellCoord::new(2 * c.x + 1, y, z).pack());
+                        for dx in 0..2 {
+                            let child = CellCoord::new(2 * c.x + dx, y, z).pack();
+                            let slot = (r * nch) as u32 | dx | dy << 1 | dz << 2;
+                            f(child, tile.unwrap_or(generated), slot);
+                            generated += 1;
+                        }
                     }
                 }
             }
         }
     }
-    out
+}
+
+/// Which `2^d`-th part of its tile holds the refined cell `key`, as child
+/// bits (x | y<<1 | z<<2): bit `patch_shift - 1` of each coordinate.
+fn tile_part(key: u64, patch_shift: u32) -> usize {
+    let c = CellCoord::unpack(key);
+    let [x, y, z] = [c.x, c.y, c.z].map(|v| (v >> (patch_shift - 1)) & 1);
+    (x | y << 1 | z << 2) as usize
+}
+
+/// The maximal runs of `keys[range]` whose keys agree above bit `shift`.
+fn runs(
+    keys: &[u64],
+    range: std::ops::Range<usize>,
+    shift: u32,
+) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut start = range.start;
+    std::iter::from_fn(move || {
+        let head = keys.get(start..range.end)?.first()? >> shift;
+        let len = keys[start..range.end]
+            .iter()
+            .position(|&k| k >> shift != head)
+            .unwrap_or(range.end - start);
+        start += len;
+        Some(start - len..start)
+    })
 }
 
 fn write_u64(buf: &mut Vec<u8>, mut value: u64) {
@@ -725,6 +963,55 @@ mod tests {
         assert!(AmrTree::from_structure_bytes(b"XXXX").is_err());
         for cut in [4, 6, bytes.len() - 1] {
             assert!(AmrTree::from_structure_bytes(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn links_lead_to_every_child_and_leaf() {
+        let l0 = vec![
+            CellCoord::new(0, 0, 0).pack(),
+            CellCoord::new(5, 2, 1).pack(),
+        ];
+        let l1 = vec![
+            CellCoord::new(1, 1, 1).pack(),
+            CellCoord::new(11, 5, 3).pack(),
+        ];
+        let mut trees = vec![small_tree()];
+        for (patch_shift, ranks) in [(0, 1), (1, 3), (2, 2), (3, 8)] {
+            let refined = vec![l0.clone(), l1.clone()];
+            let t =
+                AmrTree::from_refined_with_layout(Dim::D3, [6, 3, 2], refined, patch_shift, ranks);
+            trees.push(t.unwrap());
+        }
+        for t in &trees {
+            let (cells, links) = (t.cells(), t.links());
+            // Level 0 in (z,y,x) order.
+            let [nx, ny, _] = t.base();
+            for (i, &s) in links.slots[..t.level_cells(0).len()].iter().enumerate() {
+                let c = cells[s as usize].coord;
+                assert_eq!(i, c.x as usize + nx * (c.y as usize + ny * c.z as usize));
+            }
+            for (s, cell) in cells.iter().enumerate() {
+                let link = links.links[s] as usize;
+                if cell.is_leaf {
+                    assert_eq!(t.leaf_indices()[link] as usize, s);
+                    continue;
+                }
+                for ch in 0..t.dim().children() {
+                    let child = &cells[links.slots[link + ch] as usize];
+                    assert_eq!(
+                        (child.level, child.coord),
+                        (cell.level + 1, cell.coord.child(ch))
+                    );
+                }
+            }
+            // Each level's slots are a permutation of its storage range.
+            for l in 0..=t.max_level() {
+                let range = t.level_start(l)..t.level_start(l) + t.level_cells(l).len();
+                let mut level: Vec<u32> = links.slots[range.clone()].to_vec();
+                level.sort_unstable();
+                assert!(level.iter().copied().eq(range.map(|s| s as u32)));
+            }
         }
     }
 

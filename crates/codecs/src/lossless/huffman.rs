@@ -256,6 +256,9 @@ struct Decoder {
 }
 
 impl Decoder {
+    /// The decoder of a table of `(symbol, code length)` pairs, symbols in
+    /// nondecreasing order as the delta-coded table delivers them. Costs
+    /// O(present symbols + 2^11), never a sort.
     fn new(lens_by_symbol: &[(u16, u32)]) -> Result<Self, CodecError> {
         let max_len = lens_by_symbol.iter().map(|&(_, l)| l).max().unwrap_or(0);
         if max_len > MAX_CODE_LEN {
@@ -265,9 +268,6 @@ impl Decoder {
         for &(_, l) in lens_by_symbol {
             count[l as usize] += 1;
         }
-        let mut sorted: Vec<(u16, u32)> = lens_by_symbol.to_vec();
-        sorted.sort_by_key(|&(s, l)| (l, s));
-        let sorted_symbols: Vec<u16> = sorted.iter().map(|&(s, _)| s).collect();
 
         let mut first_code = vec![0u32; (max_len + 2) as usize];
         let mut first_index = vec![0u32; (max_len + 2) as usize];
@@ -284,6 +284,16 @@ impl Decoder {
             }
             code += c;
             index += c;
+        }
+
+        // Symbols by (length, symbol): the table lists symbols in
+        // nondecreasing order, so one stable pass by length sorts them.
+        debug_assert!(lens_by_symbol.windows(2).all(|w| w[0].0 <= w[1].0));
+        let mut next = first_index.clone();
+        let mut sorted_symbols = vec![0u16; lens_by_symbol.len()];
+        for &(s, l) in lens_by_symbol {
+            sorted_symbols[next[l as usize] as usize] = s;
+            next[l as usize] += 1;
         }
 
         // Every code of at most `primary_bits` bits fills the slots whose

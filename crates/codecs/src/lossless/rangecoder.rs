@@ -17,6 +17,12 @@ const PROB_INIT: u16 = 1 << (PROB_BITS - 1);
 const MOVE_BITS: u32 = 5;
 const TOP: u32 = 1 << 24;
 
+/// Most symbols one byte of coded body can hold. The model never gives a
+/// bit more than 2017/2048 (its adaptation stalls there), so each of a
+/// symbol's 16 decisions costs at least log2(2048/2017) bits: ≥ 0.35 bits a
+/// symbol, < 23 symbols a byte.
+const MAX_SYMBOLS_PER_BYTE: usize = 23;
+
 /// Binary range encoder (carry-correct, LZMA style).
 pub struct RangeEncoder {
     low: u64,
@@ -99,6 +105,9 @@ pub struct RangeDecoder<'a> {
     code: u32,
     data: &'a [u8],
     pos: usize,
+    /// Whether decoding has read past the coded bytes. The encoder's flush
+    /// writes every byte its decoder reads, so only a damaged stream does.
+    overrun: bool,
 }
 
 impl<'a> RangeDecoder<'a> {
@@ -112,6 +121,7 @@ impl<'a> RangeDecoder<'a> {
             code: 0,
             data,
             pos: 1, // first byte is always 0 (cache pad)
+            overrun: false,
         };
         for _ in 0..4 {
             d.code = (d.code << 8) | u32::from(d.next_byte());
@@ -121,10 +131,16 @@ impl<'a> RangeDecoder<'a> {
 
     #[inline]
     fn next_byte(&mut self) -> u8 {
-        // Reading past the end yields zeros, mirroring the encoder's flush.
-        let b = self.data.get(self.pos).copied().unwrap_or(0);
+        let b = self.data.get(self.pos).copied();
+        self.overrun |= b.is_none();
         self.pos += 1;
-        b
+        b.unwrap_or(0)
+    }
+
+    /// Whether decoding has read past the end of the coded bytes, which no
+    /// stream [`RangeEncoder::finish`] wrote ever does.
+    pub fn overrun(&self) -> bool {
+        self.overrun
     }
 
     /// Decodes one bit, updating the model like the encoder did.
@@ -216,9 +232,21 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u16>, CodecError> {
     }
     let blen = crate::varint::read_u64(bytes, &mut pos)? as usize;
     let body = crate::varint::read_bytes(bytes, &mut pos, blen)?;
+    // The count is untrusted: bound it by what the body can hold before
+    // it sizes the output.
+    if n > body.len().saturating_mul(MAX_SYMBOLS_PER_BYTE) {
+        return Err(CodecError::Corrupt("range-coded count exceeds body"));
+    }
     let mut dec = RangeDecoder::new(body)?;
     let mut model = SymbolModel::new();
-    Ok((0..n).map(|_| model.decode(&mut dec)).collect())
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(model.decode(&mut dec));
+        if dec.overrun() {
+            return Err(CodecError::Corrupt("range-coded stream overrun"));
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -229,6 +257,50 @@ mod tests {
         let enc = encode(symbols);
         assert_eq!(decode(&enc).unwrap(), symbols);
         enc.len()
+    }
+
+    #[test]
+    fn decoding_reads_no_byte_past_the_flush() {
+        // The tightest streams: one symbol over and over, at every length
+        // across the model's adaptation, plus the skewed and random ones.
+        let mut streams: Vec<Vec<u16>> = (1..600).map(|n| vec![0; n]).collect();
+        streams.push(vec![u16::MAX; 100_000]);
+        streams.push((0..5000u32).map(|i| (i * 0x9e37) as u16).collect());
+        for symbols in streams {
+            let enc = encode(&symbols);
+            let mut pos = 0;
+            crate::varint::read_u64(&enc, &mut pos).unwrap();
+            let blen = crate::varint::read_u64(&enc, &mut pos).unwrap() as usize;
+            let body = &enc[pos..pos + blen];
+            let mut dec = RangeDecoder::new(body).unwrap();
+            let mut model = SymbolModel::new();
+            for &s in &symbols {
+                assert_eq!(model.decode(&mut dec), s);
+            }
+            assert!(!dec.overrun(), "{} symbols", symbols.len());
+            assert_eq!(dec.pos, body.len(), "{} symbols", symbols.len());
+            assert!(symbols.len() <= body.len() * MAX_SYMBOLS_PER_BYTE);
+        }
+    }
+
+    #[test]
+    fn hostile_counts_and_bodies_are_corrupt() {
+        // A count far beyond what the body can hold never sizes an output.
+        let mut blob = Vec::new();
+        crate::varint::write_u64(&mut blob, 1 << 40);
+        crate::varint::write_u64(&mut blob, 5);
+        blob.extend_from_slice(&[0, 1, 2, 3, 4]);
+        assert!(matches!(decode(&blob), Err(CodecError::Corrupt(_))));
+        // A count the body could hold, but whose decode runs off its end.
+        let symbols: Vec<u16> = (0..1000u32).map(|i| (i * 0x9e37) as u16).collect();
+        let enc = encode(&symbols);
+        let mut blob = Vec::new();
+        crate::varint::write_u64(&mut blob, 2000);
+        blob.extend_from_slice(&enc[2..]);
+        assert_eq!(
+            decode(&blob),
+            Err(CodecError::Corrupt("range-coded stream overrun"))
+        );
     }
 
     #[test]

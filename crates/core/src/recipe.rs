@@ -2,23 +2,33 @@
 //! order, re-generated from tree metadata (never stored).
 //!
 //! For a cell at level ℓ with coordinates `c`, its *anchor* is `c` scaled to
-//! the finest-level grid. Both Morton and Hilbert visit every aligned dyadic
-//! block in one contiguous index range, so sorting cells by
-//! `(curve_index(anchor), level)` reproduces a recursive traversal of the
-//! refinement tree; the `level` tie-break realizes the paper's chained-tree
-//! grouping — a coarse point is emitted immediately before the finer points
-//! anchored at the same geometric coordinate.
+//! the finest-level grid. The stream is the cells sorted by
+//! `(curve_index(anchor), level)`; the `level` tie-break realizes the
+//! paper's chained-tree grouping — a coarse point is emitted immediately
+//! before the finer points anchored at the same geometric coordinate.
 //!
-//! The build reads cells in storage order, which is level-major. Each key
-//! comes from [`AnchoredIndexer`], which walks only a cell's in-tile bits
-//! when its storage tile matches the previous cell's. The keys are then
-//! ordered by a stable LSD radix sort on the curve index alone: cells that
-//! share an anchor keep their input order, i.e. coarse before fine, so
-//! the level tie-break needs no key bits.
+//! Both Morton and Hilbert visit every aligned dyadic block in one
+//! contiguous index range, so that order is a depth-first walk of the
+//! refinement tree, and the build is that walk — no key is sorted:
+//!
+//! * from the curve's root, the walk descends through the blocks above
+//!   level 0 to the base grid's cells, skipping blocks outside it;
+//! * a node's children are visited in curve order, read from the curve's
+//!   orientation state machine (`zmesh_sfc::StateTable`), and found
+//!   through the links the tree decode laid out ([`AmrTree::links`]);
+//! * a leaf is emitted when the walk reaches it. Under Chained grouping a
+//!   refined cell is emitted just before the chain of corner (child 0)
+//!   descendants that share its anchor, i.e. just before the leaf at the
+//!   chain's foot. Morton visits child 0 first, so there that is
+//!   pre-order; Hilbert may visit child 0 later.
+//!
+//! The curve index of each stream point falls out of the walk: the ranks
+//! taken on the way down, followed by the digits of the anchor's
+//! trailing zero bits. A writer plans its chunks from these keys.
 
 use crate::ordering::{GroupingMode, OrderingPolicy};
-use zmesh_amr::{AmrTree, Cell};
-use zmesh_sfc::AnchoredIndexer;
+use zmesh_amr::{AmrTree, Cell, TreeLinks, COORD_BITS};
+use zmesh_sfc::StateTable;
 
 /// A permutation between storage order and stream (curve) order.
 ///
@@ -56,24 +66,51 @@ impl RestoreRecipe {
     /// the tree structure (which every AMR container carries), so nothing
     /// recipe-related is ever written to storage.
     pub fn build(tree: &AmrTree, policy: OrderingPolicy, grouping: GroupingMode) -> Self {
-        Self::build_keyed(tree, policy, grouping).0
+        Self::walk::<false>(tree, policy, grouping).0
     }
 
-    /// [`RestoreRecipe::build`], also handing back the curve keys the sort
-    /// ran on: [`anchor_keys`] in storage order (`None` under level order).
-    /// A writer plans its chunks from them instead of keying every cell a
-    /// second time; the recipe itself keeps no keys.
+    /// [`RestoreRecipe::build`], also handing back the curve key of every
+    /// stream point, in stream order (`None` under level order): the curve
+    /// index of the point's anchor. A writer plans its chunks from them
+    /// instead of keying every cell again; the recipe itself keeps no keys.
     pub fn build_keyed(
         tree: &AmrTree,
         policy: OrderingPolicy,
         grouping: GroupingMode,
     ) -> (Self, Option<Vec<u64>>) {
-        let keys = anchor_keys(tree, policy, grouping);
-        let perm = match &keys {
-            None => (0..stream_len(tree, grouping) as u32).collect(),
-            Some(keys) => {
-                let key_bits = tree.dim().rank() as u32 * tree.finest_bits();
-                radix_sort_positions(keys, key_bits)
+        Self::walk::<true>(tree, policy, grouping)
+    }
+
+    fn walk<const KEYS: bool>(
+        tree: &AmrTree,
+        policy: OrderingPolicy,
+        grouping: GroupingMode,
+    ) -> (Self, Option<Vec<u64>>) {
+        let n = stream_len(tree, grouping);
+        let (perm, keys) = match policy.curve() {
+            None => ((0..n as u32).collect(), None),
+            Some(curve) => {
+                let dims = tree.dim().rank() as u32;
+                let states = curve
+                    .states(dims)
+                    .expect("ordering policies walk dyadic curves");
+                let mut walk = CurveWalk::<KEYS> {
+                    states,
+                    dims,
+                    base: tree.base().map(|b| b as u32),
+                    cells: tree.cells(),
+                    links: tree.links(),
+                    chained: grouping == GroupingMode::Chained,
+                    max_level: tree.max_level(),
+                    path: [0; COORD_BITS as usize + 1],
+                    perm: Vec::with_capacity(n),
+                    keys: Vec::with_capacity(if KEYS { n } else { 0 }),
+                };
+                // The base grid's cells sit this many levels below the
+                // root of the curve's `2^finest_bits` grid.
+                walk.above_base(tree.finest_bits() - tree.max_level(), [0; 3], 0, 0);
+                debug_assert_eq!(walk.perm.len(), n);
+                (walk.perm, KEYS.then_some(walk.keys))
             }
         };
         let recipe = Self {
@@ -142,71 +179,96 @@ fn stream_len(tree: &AmrTree, grouping: GroupingMode) -> usize {
     }
 }
 
-/// The curve index of each stream point's anchor under `policy`, in
-/// storage order: all cells (level-major) for Chained, the leaves for
-/// LeafOnly. `None` under level order, where no curve backs the stream.
-/// The recipe sorts on these keys; a chunk's curve interval is their span.
-pub fn anchor_keys(
-    tree: &AmrTree,
-    policy: OrderingPolicy,
-    grouping: GroupingMode,
-) -> Option<Vec<u64>> {
-    let curve = policy.curve()?;
-    let dims = tree.dim().rank() as u32;
-    let tile_shift = tree.patch_size().trailing_zeros();
-    let mut keys = AnchoredIndexer::new(curve, dims, tree.finest_bits(), tile_shift);
-    let max_level = tree.max_level();
-    let key = |cell: &Cell| {
-        let c = cell.coord;
-        keys.index(
-            [u64::from(c.x), u64::from(c.y), u64::from(c.z)],
-            max_level - cell.level,
-        )
-    };
-    Some(match grouping {
-        GroupingMode::LeafOnly => tree.leaves().map(key).collect(),
-        GroupingMode::Chained => tree.cells().iter().map(key).collect(),
-    })
+/// The depth-first curve-order walk behind [`RestoreRecipe::build`], with
+/// `KEYS` selecting whether it records each stream point's curve key.
+struct CurveWalk<'a, const KEYS: bool> {
+    states: &'static StateTable,
+    dims: u32,
+    base: [u32; 3],
+    cells: &'a [Cell],
+    links: TreeLinks<'a>,
+    chained: bool,
+    max_level: u32,
+    /// Storage indices of the refined cells on the path to the current
+    /// node, by level.
+    path: [u32; COORD_BITS as usize + 1],
+    perm: Vec<u32>,
+    keys: Vec<u64>,
 }
 
-/// Positions `0..keys.len()` in stable LSD radix order of `keys`, of which
-/// only the low `key_bits` can be set: ⌈key_bits / 12⌉ passes of
-/// equal-width digits, each moving positions and reading their key through
-/// them. A pass whose digit is the same for every key is skipped.
-fn radix_sort_positions(keys: &[u64], key_bits: u32) -> Vec<u32> {
-    let passes = key_bits.div_ceil(12).max(1);
-    let width = key_bits.div_ceil(passes);
-    let radix = 1usize << width;
-    let mask = (radix - 1) as u64;
-    let n = keys.len();
-
-    // Every pass's histogram in one read of the keys.
-    let mut counts = vec![0u32; passes as usize * radix];
-    for &key in keys {
-        for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
-            hist[((key >> (p as u32 * width)) & mask) as usize] += 1;
+impl<const KEYS: bool> CurveWalk<'_, KEYS> {
+    /// Walks the block `coords`, `depth` levels above the base grid, whose
+    /// walk reached it in `state` with `index`.
+    fn above_base(&mut self, depth: u32, coords: [u32; 3], state: u8, index: u64) {
+        if depth == 0 {
+            let [x, y, z] = coords;
+            let [nx, ny, _] = self.base;
+            let cell = self.links.slots[(x + nx * (y + ny * z)) as usize];
+            return self.enter(0, cell, state, index, 0);
+        }
+        for rank in 0..1 << self.dims {
+            let (child, next) = self.states.child(state, rank);
+            let c = [0, 1, 2].map(|a| coords[a] << 1 | (child >> a) as u32 & 1);
+            // Skip blocks whose lowest base cell lies outside the grid.
+            if (0..3).all(|a| c[a] << (depth - 1) < self.base[a]) {
+                self.above_base(depth - 1, c, next, index << self.dims | rank as u64);
+            }
         }
     }
 
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let mut next = vec![0u32; n];
-    for (p, hist) in counts.chunks_exact_mut(radix).enumerate() {
-        if hist.iter().any(|&c| c as usize == n) {
-            continue;
+    /// Enters the level-`level` cell `cell` (a storage index) in `state`
+    /// with `index`; `top` is the level of the first cell sharing its
+    /// anchor on the path.
+    #[inline]
+    fn enter(&mut self, level: u32, cell: u32, state: u8, index: u64, top: u32) {
+        if self.cells[cell as usize].is_leaf {
+            self.emit(level, cell, state, index, top);
+        } else {
+            self.refined(level, cell, state, index, top);
         }
-        let mut start = 0u32;
-        for count in hist.iter_mut() {
-            (*count, start) = (start, start + *count);
-        }
-        let shift = p as u32 * width;
-        for &i in &order {
-            let slot = &mut hist[((keys[i as usize] >> shift) & mask) as usize];
-            next[*slot as usize] = i;
-            *slot += 1;
-        }
-        std::mem::swap(&mut order, &mut next);
     }
-    order
+
+    /// Visits a refined cell's children in curve order.
+    fn refined(&mut self, level: u32, cell: u32, state: u8, index: u64, top: u32) {
+        self.path[level as usize] = cell;
+        let first = self.links.links[cell as usize] as usize;
+        for rank in 0..1 << self.dims {
+            let (child, next) = self.states.child(state, rank);
+            let c = self.links.slots[first + child];
+            // Only the corner child shares its parent's anchor.
+            let top = if child == 0 { top } else { level + 1 };
+            self.enter(level + 1, c, next, index << self.dims | rank as u64, top);
+        }
+    }
+
+    /// Emits a leaf: under Chained grouping after the refined cells from
+    /// level `top` down that share its anchor, coarse to fine.
+    #[inline]
+    fn emit(&mut self, level: u32, leaf: u32, state: u8, index: u64, top: u32) {
+        let key = match KEYS {
+            true => {
+                let k = self.max_level - level;
+                index << (self.dims * k) | self.states.zero_tail(state, k)
+            }
+            false => 0,
+        };
+        if self.chained {
+            for l in top..level {
+                self.push(self.path[l as usize], key);
+            }
+            self.push(leaf, key);
+        } else {
+            self.push(self.links.links[leaf as usize], key);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, point: u32, key: u64) {
+        self.perm.push(point);
+        if KEYS {
+            self.keys.push(key);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! `RestoreRecipe::build` keys cells with `zmesh_sfc::AnchoredIndexer` and
-//! orders them with a stable radix sort on the curve index alone. The
-//! indirect comparison sort it descends from — an index array sorted
-//! through a `(curve index, level)` lookup — is kept verbatim below as the
-//! reference: the permutation must be identical for every policy and
-//! grouping, on trees deep enough for three to six radix passes and on
-//! storage tiles of 1–16 cells a side.
+//! `RestoreRecipe::build` walks the refinement tree depth-first in curve
+//! order. The indirect comparison sort it descends from — an index array
+//! sorted through a `(curve index, level)` lookup — is kept verbatim below
+//! as the reference: the permutation must be identical for every policy
+//! and grouping, on random trees up to 18 levels deep with storage tiles
+//! of 1–16 cells a side, and on every preset.
 
 use proptest::prelude::*;
 use rayon::prelude::*;
 use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe};
-use zmesh_amr::{AmrTree, Cell, Dim, TreeBuilder};
+use zmesh_amr::datasets::{self, Scale};
+use zmesh_amr::{AmrTree, Cell, Dim, StorageMode, TreeBuilder};
 use zmesh_sfc::Curve;
 
 fn reference(tree: &AmrTree, policy: OrderingPolicy, grouping: GroupingMode) -> Vec<u32> {
@@ -117,6 +117,50 @@ proptest! {
                     &reference(&tree, policy, grouping)[..],
                     "{:?} {:?}", policy, grouping
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn presets_match_reference() {
+    for ds in datasets::all(StorageMode::AllCells, Scale::Small) {
+        let tree = &ds.tree;
+        let cells = tree.cells();
+        for policy in OrderingPolicy::ALL {
+            for grouping in [GroupingMode::LeafOnly, GroupingMode::Chained] {
+                let case = format!("{} {policy:?} {grouping:?}", ds.name);
+                let (recipe, keys) = RestoreRecipe::build_keyed(tree, policy, grouping);
+                let want = reference(tree, policy, grouping);
+                assert_eq!(recipe.permutation(), &want[..], "{case}");
+                assert_eq!(
+                    RestoreRecipe::build(tree, policy, grouping),
+                    recipe,
+                    "{case}"
+                );
+                // The walk's keys are the curve index of each stream
+                // point's anchor.
+                let Some(curve) = policy.curve() else {
+                    assert!(keys.is_none(), "{case}");
+                    continue;
+                };
+                let bits = tree.finest_bits();
+                let keys = keys.expect("curve policies hand out keys");
+                for (&key, &storage) in keys.iter().zip(recipe.permutation()) {
+                    let cell = match grouping {
+                        GroupingMode::LeafOnly => {
+                            &cells[tree.leaf_indices()[storage as usize] as usize]
+                        }
+                        GroupingMode::Chained => &cells[storage as usize],
+                    };
+                    let a = tree.anchor(cell);
+                    let (x, y, z) = (u64::from(a.x), u64::from(a.y), u64::from(a.z));
+                    let want = match tree.dim() {
+                        Dim::D2 => curve.index_2d(x, y, bits),
+                        Dim::D3 => curve.index_3d(x, y, z, bits),
+                    };
+                    assert_eq!(key, want, "{case}");
+                }
             }
         }
     }

@@ -1,5 +1,8 @@
 //! The [`Curve`] trait and the [`CurveKind`] runtime dispatcher.
 
+use crate::hilbert_fast::{
+    StateTable, HILBERT_2D_TABLE, HILBERT_3D_TABLE, MORTON_2D_TABLE, MORTON_3D_TABLE,
+};
 use crate::{
     hilbert_index_2d_fast, hilbert_index_3d_fast, hilbert_point_2d_fast, hilbert_point_3d_fast,
     morton_index_2d, morton_index_3d, morton_point_2d, morton_point_3d, row_major_index_2d,
@@ -51,6 +54,23 @@ impl CurveKind {
     /// for use as a refinement-tree traversal key).
     pub fn is_dyadic_recursive(&self) -> bool {
         !matches!(self, CurveKind::RowMajor)
+    }
+
+    /// The curve's orientation state machine in `dims` (2 or 3)
+    /// dimensions, for walking the dyadic tree in curve order; `None` for
+    /// row-major, which is not dyadic.
+    ///
+    /// # Panics
+    /// Panics if `dims` is not 2 or 3.
+    pub fn states(&self, dims: u32) -> Option<&'static StateTable> {
+        match (self, dims) {
+            (CurveKind::RowMajor, 2 | 3) => None,
+            (CurveKind::Morton, 2) => Some(&MORTON_2D_TABLE),
+            (CurveKind::Morton, 3) => Some(&MORTON_3D_TABLE),
+            (CurveKind::Hilbert, 2) => Some(&HILBERT_2D_TABLE),
+            (CurveKind::Hilbert, 3) => Some(&HILBERT_3D_TABLE),
+            _ => panic!("dims must be 2 or 3, got {dims}"),
+        }
     }
 }
 

@@ -20,14 +20,13 @@
 //! anchor therefore reproduces a recursive SFC traversal of the refinement
 //! tree. This is checked by `tests/dyadic.rs`.
 //!
-//! [`AnchoredIndexer`] computes those anchor indices directly from a cell's
-//! level coordinate and depth `k` (anchor = `coord << k`): Morton shifts the
-//! coordinate's index, Hilbert walks only the coordinate's own bits — and
-//! only the low, per-tile ones when consecutive cells share a storage tile —
-//! then appends a per-state table of the `k` trailing zero digits. The
-//! restore recipe in the zMesh core is built from these keys.
+//! [`CurveKind::states`] exposes each dyadic curve as a constant
+//! orientation state machine ([`StateTable`]): which child a node visits
+//! next and the orientation of that child's subtree, plus the index digits
+//! an anchor's trailing zero bits append. The restore recipe in the zMesh
+//! core walks the refinement tree with it, emitting cells already in curve
+//! order.
 
-mod anchored;
 mod curve;
 mod hilbert;
 mod hilbert_fast;
@@ -35,11 +34,11 @@ mod morton;
 pub mod ranges;
 mod rowmajor;
 
-pub use anchored::AnchoredIndexer;
 pub use curve::{Curve, CurveKind};
 pub use hilbert::{hilbert_index_2d, hilbert_index_3d, hilbert_point_2d, hilbert_point_3d};
 pub use hilbert_fast::{
     hilbert_index_2d_fast, hilbert_index_3d_fast, hilbert_point_2d_fast, hilbert_point_3d_fast,
+    StateTable,
 };
 pub use morton::{
     morton_index_2d, morton_index_3d, morton_point_2d, morton_point_3d, MAX_BITS_2D, MAX_BITS_3D,

@@ -2,7 +2,7 @@
 //! and readers that share a mesh.
 //!
 //! zMesh's recipe is a pure function of `(tree structure, policy,
-//! grouping)`. Building it costs a parallel sort over every cell; cloning
+//! grouping)`. Building it costs a walk over every cell; cloning
 //! an `Arc` costs nothing. Multi-field and time-series workloads hit the
 //! same tree structure over and over, so the cache keys recipes by a hash
 //! of the serialized structure and hands out shared references — the
@@ -159,9 +159,9 @@ impl RecipeCache {
     }
 
     /// [`RecipeCache::get_or_build`] for a writer: on a miss it also hands
-    /// back the storage-order curve keys the build sorted on
-    /// ([`RestoreRecipe::build_keyed`]), so the chunk plan need not key
-    /// every cell again. `None` on a hit and under level order.
+    /// back the stream points' curve keys from the build's walk
+    /// ([`RestoreRecipe::build_keyed`]), so the chunk plan need not walk
+    /// the tree again. `None` on a hit and under level order.
     pub(crate) fn get_or_build_with_keys(
         &self,
         tree: &AmrTree,
@@ -192,8 +192,8 @@ impl RecipeCache {
             collided = true;
             self.collisions.fetch_add(1, Ordering::Relaxed);
         }
-        // Build outside the lock: recipe construction is the expensive
-        // parallel sort this cache exists to amortize.
+        // Build outside the lock: the build walks every cell, the cost
+        // this cache exists to amortize.
         let (recipe, keys) = RestoreRecipe::build_keyed(tree, key.policy, key.grouping);
         let recipe = Arc::new(recipe);
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -275,7 +275,7 @@ mod tests {
         let (policy, grouping) = (OrderingPolicy::Hilbert, GroupingMode::LeafOnly);
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, policy, grouping);
         assert!(!hit);
-        assert_eq!(keys, zmesh::anchor_keys(&t, policy, grouping));
+        assert_eq!(keys, RestoreRecipe::build_keyed(&t, policy, grouping).1);
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, policy, grouping);
         assert!(hit && keys.is_none());
         let level = OrderingPolicy::LevelOrder;

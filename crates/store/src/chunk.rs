@@ -9,7 +9,7 @@
 //! decide which chunks to decode.
 
 use crate::format::{put_u32, put_u64, Cursor, StoreError};
-use zmesh::{anchor_keys, GroupingMode, OrderingPolicy, RestoreRecipe};
+use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe};
 use zmesh_amr::{AmrTree, Cell};
 
 /// Serialized size of one [`ChunkMeta`].
@@ -134,8 +134,9 @@ impl ChunkPlan {
 }
 
 /// Frames `recipe`'s stream into `chunk_values`-sized chunks and computes
-/// each chunk's geometric coverage over `tree`, keying every stream point
-/// with [`anchor_keys`] (the pass the recipe build runs).
+/// each chunk's geometric coverage over `tree`. `recipe` must be the
+/// recipe of `(tree, policy, grouping)`: the stream points' curve keys come
+/// from walking the tree again ([`RestoreRecipe::build_keyed`]).
 pub fn plan_chunks(
     tree: &AmrTree,
     recipe: &RestoreRecipe,
@@ -143,7 +144,7 @@ pub fn plan_chunks(
     grouping: GroupingMode,
     chunk_values: usize,
 ) -> ChunkPlan {
-    let keys = anchor_keys(tree, policy, grouping);
+    let (_, keys) = RestoreRecipe::build_keyed(tree, policy, grouping);
     plan_keyed(
         tree,
         recipe.permutation(),
@@ -153,9 +154,10 @@ pub fn plan_chunks(
     )
 }
 
-/// [`plan_chunks`] from precomputed storage-order curve keys (`None` under
-/// level order): chunk `i` covers stream positions `perm[stream_range(i)]`,
-/// and a cell keyed `k` covers the curve interval of its dyadic block.
+/// [`plan_chunks`] from the stream points' curve keys, in stream order
+/// (`None` under level order): chunk `i` covers stream positions
+/// `perm[stream_range(i)]`, and a point keyed `k` covers the curve interval
+/// of its cell's dyadic block.
 pub(crate) fn plan_keyed(
     tree: &AmrTree,
     perm: &[u32],
@@ -168,6 +170,7 @@ pub(crate) fn plan_keyed(
     assert!(chunk_values > 0, "chunk size must be positive");
     let n = perm.len();
     let rank = tree.dim().rank();
+    let max_level = tree.max_level();
     let cells = tree.cells();
     let leaf_indices = tree.leaf_indices();
     let cell_of = |storage: u32| -> &Cell {
@@ -179,7 +182,8 @@ pub(crate) fn plan_keyed(
 
     let metas: Vec<ChunkMeta> = perm
         .par_chunks(chunk_values)
-        .map(|chunk| {
+        .enumerate()
+        .map(|(i, chunk)| {
             let mut meta = ChunkMeta {
                 curve_lo: u64::MAX,
                 curve_hi: 0,
@@ -190,10 +194,11 @@ pub(crate) fn plan_keyed(
                 len: 0,
                 crc: 0,
             };
-            for &storage in chunk {
+            let first = i * chunk_values;
+            for (pos, &storage) in (first..).zip(chunk) {
                 let cell = cell_of(storage);
-                let shift = tree.max_level() - cell.level;
-                let anchor = tree.anchor(cell);
+                let shift = max_level - cell.level;
+                let anchor = cell.coord.anchor(shift);
                 let side = 1u32 << shift;
                 let a = [anchor.x, anchor.y, anchor.z];
                 for (axis, &lo) in a.iter().enumerate().take(rank) {
@@ -204,7 +209,7 @@ pub(crate) fn plan_keyed(
                 if let Some(keys) = keys {
                     // A cell covers its whole (aligned, contiguous) dyadic
                     // block of 2^(d·shift) finest cells.
-                    let idx = keys[storage as usize];
+                    let idx = keys[pos];
                     let block = 1u64 << (rank as u32 * shift);
                     meta.curve_lo = meta.curve_lo.min(idx & !(block - 1));
                     meta.curve_hi = meta.curve_hi.max(idx | (block - 1));

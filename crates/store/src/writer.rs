@@ -3,7 +3,7 @@
 //!
 //! Fields stay in storage order; no reordered copy of a field is ever
 //! made. The mesh-level work — the restore recipe and the chunk plan,
-//! which reuses the curve keys the recipe build sorted on — is paid once
+//! which reuses the curve keys the recipe build's walk yields — is paid once
 //! per write, and each field's error bound is resolved on its
 //! storage-order values (a min/max fold does not depend on order).
 //!
@@ -42,9 +42,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
-use zmesh::{
-    anchor_keys, codec_for, crc32, CompressionConfig, GroupingMode, RestoreRecipe, ZmeshError,
-};
+use zmesh::{codec_for, crc32, CompressionConfig, GroupingMode, RestoreRecipe, ZmeshError};
 use zmesh_amr::{AmrField, AmrTree};
 use zmesh_codecs::{Codec, CodecError, CodecParams, ErrorControl, ValueType};
 
@@ -227,8 +225,8 @@ pub struct StoreWritten {
 
 /// Writes chunked, indexed v2 stores. Reusing one writer (or sharing its
 /// [`RecipeCache`]) across fields, timesteps, or whole runs amortizes the
-/// recipe build — the Nth write against the same mesh skips the keying and
-/// radix sort entirely, and a reused writer also skips the chunk plan.
+/// recipe build — the Nth write against the same mesh skips the curve
+/// walk entirely, and a reused writer also skips the chunk plan.
 #[derive(Debug, Clone)]
 pub struct StoreWriter {
     config: CompressionConfig,
@@ -345,7 +343,7 @@ impl StoreWriter {
 
     /// The chunk plan of `recipe` at `chunk_values`: the writer's last plan
     /// when it framed this same cached recipe, else planned from `keys`
-    /// (the build's, on a cache miss) or from a fresh keying pass.
+    /// (the build's, on a cache miss) or from the keys of a fresh walk.
     fn plan(
         &self,
         tree: &AmrTree,
@@ -362,7 +360,7 @@ impl StoreWriter {
             }
         }
         let (policy, grouping) = (recipe.policy(), recipe.grouping());
-        let keys = keys.or_else(|| anchor_keys(tree, policy, grouping));
+        let keys = keys.or_else(|| RestoreRecipe::build_keyed(tree, policy, grouping).1);
         let perm = recipe.permutation();
         let plan = Arc::new(plan_keyed(
             tree,

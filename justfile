@@ -84,7 +84,7 @@ perfbench-trace workload seed="1" seconds="30":
 
 # Alternating perfbench pairs of a base revision against the working tree:
 # per end-to-end metric, each side's median and quartiles and the change's
-# win count (e.g. `just perf-pairs HEAD pack 10`).
+# win count (e.g. `just perf-pairs HEAD pack,cold-read,serve 10`).
 perf-pairs rev workload pairs seconds="30":
     bash scripts/perf_pairs.sh {{rev}} {{workload}} {{pairs}} {{seconds}}
 

@@ -2,12 +2,14 @@
 # Alternating A/B pairs of the repo benchmark: a base revision against the
 # working tree.
 #
-#   scripts/perf_pairs.sh <rev> <workload> <pairs> [seconds]
+#   scripts/perf_pairs.sh <rev> <workload>[,<workload>...] <pairs> [seconds]
 #
 # Builds perfbench at <rev> (a `git archive` export in a temp directory,
 # so nothing is added to the repository's worktree list) and at the
-# working tree, then runs <pairs> pairs of `--workload <workload>` for
-# [seconds] each (default: BENCHMARK.json's run_seconds). Pair i runs both
+# working tree, then, for each listed workload in turn (e.g.
+# `pack,cold-read,serve`), runs <pairs> pairs of `--workload <workload>`
+# for [seconds] each (default: BENCHMARK.json's run_seconds) and prints
+# that workload's table as soon as its pairs are done. Pair i runs both
 # sides on seed i; the side that runs first alternates from pair to pair,
 # so a slow drift of the host favours neither. Prints, per end-to-end
 # metric, each side's median and quartiles and how many pairs the change
@@ -18,10 +20,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <rev> <workload> <pairs> [seconds]" >&2
+    echo "usage: $0 <rev> <workload>[,<workload>...] <pairs> [seconds]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=$3
+rev=$1 workloads=$2 pairs=$3
 seconds=${4:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
 git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
     echo "unknown revision: $rev" >&2
@@ -43,20 +45,10 @@ change_bin=$(cd "$change_target" && pwd)/release/perfbench
 
 run() { # side bin dir seed
     (cd "$3" && "$2" --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0) |
-        tail -n 1 >>"$work/$1.jsonl"
+        tail -n 1 >>"$work/$workload.$1.jsonl"
 }
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        run base "$base_bin" "$work/base" "$i"
-        run change "$change_bin" . "$i"
-    else
-        run change "$change_bin" . "$i"
-        run base "$base_bin" "$work/base" "$i"
-    fi
-    echo "pair $i/$pairs done" >&2
-done
-
-python3 - "$work/base.jsonl" "$work/change.jsonl" "$rev" "$workload" <<'EOF'
+report() {
+    python3 - "$work/$workload.base.jsonl" "$work/$workload.change.jsonl" "$rev" "$workload" <<'EOF'
 import json
 import statistics
 import sys
@@ -90,3 +82,19 @@ for m in bench["end_to_end"]:
     fb = "/".join(f"{v:.4g}" for v in quartiles(b))
     print(f"  {name:<18} {fa:>38}   {fb:>38}   {wins}/{len(a)}")
 EOF
+}
+
+IFS=, read -ra workload_list <<<"$workloads"
+for workload in "${workload_list[@]}"; do
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run base "$base_bin" "$work/base" "$i"
+            run change "$change_bin" . "$i"
+        else
+            run change "$change_bin" . "$i"
+            run base "$base_bin" "$work/base" "$i"
+        fi
+        echo "$workload: pair $i/$pairs done" >&2
+    done
+    report
+done

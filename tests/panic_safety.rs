@@ -354,7 +354,7 @@ fn hostile_base_grid_is_rejected_before_the_tree_decode() {
 
 #[test]
 fn hostile_entropy_and_sz_headers_are_typed_errors() {
-    use zmesh_codecs::lossless::huffman;
+    use zmesh_codecs::lossless::{huffman, rangecoder};
     use zmesh_codecs::{Codec, CodecError, SzCodec};
     // 13 bytes of Huffman stream declaring 2^40 symbols over a one-symbol
     // table and a 3-byte payload: the count must be bounded by the payload
@@ -388,6 +388,30 @@ fn hostile_entropy_and_sz_headers_are_typed_errors() {
         matches!(got, Ok(Err(CodecError::Corrupt("f64 past end")))),
         "{got:?}"
     );
+
+    // The same stream through the range coder (entropy tag 1): 2^40
+    // symbols declared over a 5-byte body. The count must be bounded by
+    // the body before it sizes the output (it aborted the process).
+    let mut coded = Vec::new();
+    varint(&mut coded, 1 << 40);
+    varint(&mut coded, 5);
+    coded.extend_from_slice(&[0; 5]);
+    let got = std::panic::catch_unwind(|| rangecoder::decode(&coded));
+    assert!(matches!(got, Ok(Err(CodecError::Corrupt(_)))), "{got:?}");
+    let mut payload = vec![0u8];
+    varint(&mut payload, coded.len() as u64);
+    payload.extend_from_slice(&coded);
+    let mut sz = b"SZR1".to_vec();
+    varint(&mut sz, 8);
+    sz.extend_from_slice(&1e-3f64.to_le_bytes());
+    for v in [0, 0, 0, 4096] {
+        varint(&mut sz, v);
+    }
+    sz.extend_from_slice(&[0, 1, 0]);
+    varint(&mut sz, payload.len() as u64);
+    sz.extend_from_slice(&payload);
+    let got = std::panic::catch_unwind(|| SzCodec::new().decompress(&sz));
+    assert!(matches!(got, Ok(Err(CodecError::Corrupt(_)))), "{got:?}");
 
     // Stored dims 2^32 × 2^32 × 1 over zero values: the product overflows
     // (a debug panic; in release it wraps to 0, passes the length check
