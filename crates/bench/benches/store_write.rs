@@ -29,8 +29,8 @@ fn config() -> CompressionConfig {
 }
 
 fn bench_store_write(c: &mut Criterion) {
-    // Same multi-field fixture shape as the store_read bench: replicated
-    // physical fields multiply the payload past the shared tree.
+    // Multi-field fixture: replicated physical fields multiply the
+    // payload past the shared tree.
     let ds = datasets::blast2d(StorageMode::AllCells, Scale::Small);
     let named: Vec<(String, &zmesh_amr::AmrField)> = (0..6)
         .flat_map(|rep| {

@@ -1,41 +1,28 @@
 //! A14 — ablation: entropy stage of the SZ-style codec.
 //!
-//! Canonical Huffman (what SZ ships) vs an adaptive binary range coder, and
-//! the effect of the optional byte-level lossless back end. Measures both
-//! ratio and encode throughput (best of three runs), under the zMesh-Hilbert
-//! ordering, and states the range coder's gain and cost from the table.
+//! Canonical Huffman (what SZ ships) vs an adaptive binary range coder.
+//! Measures both ratio and encode throughput (best of three runs), under
+//! the zMesh-Hilbert ordering, and states the range coder's gain and cost
+//! from the table.
 
 use crate::{eval_datasets, header, row};
 use std::time::Instant;
 use zmesh::{linearize, OrderingPolicy};
 use zmesh_amr::datasets::Scale;
-use zmesh_codecs::lossless::Backend;
-use zmesh_codecs::sz::SzConfig;
 use zmesh_codecs::{Codec, CodecParams, EntropyCoder, SzCodec};
 
-/// Prints ratio + throughput per (dataset, entropy, backend) combination.
+/// Prints ratio + throughput per (dataset, entropy stage).
 pub fn run(scale: Scale) {
     println!("\n## A14: SZ entropy-stage ablation (zmesh-h stream, rel_eb 1e-4)\n");
-    header(&["dataset", "entropy", "backend", "ratio", "encode_MBps"]);
-    let combos = [
-        (EntropyCoder::Huffman, Backend::None),
-        (EntropyCoder::Huffman, Backend::Lzss),
-        (EntropyCoder::Range, Backend::None),
-    ];
-    // Per dataset: (ratio, MB/s) of Huffman and of the range coder, no back end.
+    header(&["dataset", "entropy", "ratio", "encode_MBps"]);
+    // Per dataset: (ratio, MB/s) of Huffman and of the range coder.
     let mut huffman = Vec::new();
     let mut range = Vec::new();
     for ds in eval_datasets(scale).iter() {
         let (stream, _) = linearize(ds.primary(), OrderingPolicy::Hilbert);
         let params = CodecParams::rel_1d(1e-4);
-        for (entropy, backend) in combos {
-            let codec = SzCodec {
-                config: SzConfig {
-                    entropy,
-                    backend,
-                    ..SzConfig::default()
-                },
-            };
+        for entropy in [EntropyCoder::Huffman, EntropyCoder::Range] {
+            let codec = SzCodec::with_entropy(entropy);
             let mut secs = f64::INFINITY;
             let mut bytes = Vec::new();
             for _ in 0..3 {
@@ -48,15 +35,13 @@ pub fn run(scale: Scale) {
             assert_eq!(out.len(), stream.len());
             let ratio = (stream.len() * 8) as f64 / bytes.len() as f64;
             let mbps = (stream.len() * 8) as f64 / 1e6 / secs;
-            match (entropy, backend) {
-                (EntropyCoder::Huffman, Backend::None) => huffman.push((ratio, mbps)),
-                (EntropyCoder::Range, Backend::None) => range.push((ratio, mbps)),
-                _ => {}
+            match entropy {
+                EntropyCoder::Huffman => huffman.push((ratio, mbps)),
+                EntropyCoder::Range => range.push((ratio, mbps)),
             }
             row(&[
                 ds.name.clone(),
                 entropy.label().into(),
-                backend.label().into(),
                 format!("{ratio:.2}"),
                 format!("{mbps:.0}"),
             ]);

@@ -6,10 +6,9 @@
 //! the width of the XOR window against the previous value. This experiment
 //! measures that as a future-work-style extension.
 
-use crate::{eval_datasets, header, row};
+use crate::{eval_datasets, gorilla, header, row};
 use zmesh::{linearize, OrderingPolicy};
 use zmesh_amr::datasets::Scale;
-use zmesh_codecs::lossless::gorilla;
 
 /// Prints lossless (bit-exact) ratios under each ordering.
 pub fn run(scale: Scale) {

@@ -9,6 +9,7 @@
 //! reduced datasets; the default `standard` scale matches EXPERIMENTS.md.
 
 pub mod experiments;
+pub mod gorilla;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -15,8 +15,8 @@
 //!   4 / 4×4 / 4×4×4 blocks, block-floating-point, lifted decorrelating
 //!   transform, total-sequency coefficient order, negabinary, embedded
 //!   group-tested bit-plane coding; fixed-accuracy and fixed-rate modes.
-//! * [`lossless`] — the lossless substrate both build on: canonical Huffman,
-//!   PackBits RLE, and LZSS.
+//! * [`lossless`] — SZ's entropy stages: canonical Huffman and an adaptive
+//!   range coder.
 //!
 //! Both lossy codecs implement the [`Codec`] trait and honor the configured
 //! absolute error bound **pointwise** (property-tested in `tests/`).

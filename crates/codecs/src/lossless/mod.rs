@@ -1,123 +1,10 @@
-//! Lossless substrate: canonical Huffman, PackBits RLE, and LZSS.
+//! Entropy stages for the SZ-style codec's quantization codes: canonical
+//! [`huffman`] (SZ's choice and the default) and the adaptive
+//! [`rangecoder`] (see [`crate::EntropyCoder`]).
 //!
-//! SZ's quantization codes are entropy-coded with [`huffman`]; the optional
-//! byte-level back end (the role zlib/zstd play behind the real SZ) is
-//! [`rle`] or [`lzss`], selectable via [`Backend`].
+//! The real SZ follows Huffman with a general-purpose lossless pass
+//! (zlib/zstd). This codec has none: the stream's back-end tag is always
+//! `0` and the payload is stored as Huffman left it.
 
-pub mod gorilla;
 pub mod huffman;
-pub mod lzss;
 pub mod rangecoder;
-pub mod rle;
-
-use crate::{varint, CodecError};
-
-/// Byte-level lossless back end applied to an already-entropy-coded payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// No byte-level pass.
-    #[default]
-    None,
-    /// PackBits run-length encoding — cheap, effective on long zero runs.
-    Rle,
-    /// LZSS with a 32 KiB window — slower, strongest of the three.
-    Lzss,
-}
-
-impl Backend {
-    /// Header tag.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Backend::None => 0,
-            Backend::Rle => 1,
-            Backend::Lzss => 2,
-        }
-    }
-
-    /// Inverse of [`Backend::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Backend::None),
-            1 => Some(Backend::Rle),
-            2 => Some(Backend::Lzss),
-            _ => None,
-        }
-    }
-
-    /// Short label used in ablation output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Backend::None => "none",
-            Backend::Rle => "rle",
-            Backend::Lzss => "lzss",
-        }
-    }
-
-    /// Compresses `data`, prefixing the uncompressed length.
-    pub fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() / 2 + 16);
-        varint::write_u64(&mut out, data.len() as u64);
-        match self {
-            Backend::None => out.extend_from_slice(data),
-            Backend::Rle => rle::compress_into(data, &mut out),
-            Backend::Lzss => lzss::compress_into(data, &mut out),
-        }
-        out
-    }
-
-    /// Decompresses a buffer produced by [`Backend::compress`].
-    pub fn decompress(&self, bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut pos = 0;
-        let n = varint::read_u64(bytes, &mut pos)? as usize;
-        let body = &bytes[pos..];
-        match self {
-            Backend::None => {
-                if body.len() != n {
-                    return Err(CodecError::Corrupt("stored length mismatch"));
-                }
-                Ok(body.to_vec())
-            }
-            Backend::Rle => rle::decompress(body, n),
-            Backend::Lzss => lzss::decompress(body, n),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const BACKENDS: [Backend; 3] = [Backend::None, Backend::Rle, Backend::Lzss];
-
-    #[test]
-    fn all_backends_round_trip() {
-        let inputs: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![42],
-            vec![0; 1000],
-            (0..=255).collect(),
-            b"abcabcabcabcabcabc".repeat(10),
-        ];
-        for b in BACKENDS {
-            for input in &inputs {
-                let c = b.compress(input);
-                assert_eq!(&b.decompress(&c).unwrap(), input, "{b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        for b in BACKENDS {
-            assert_eq!(Backend::from_tag(b.tag()), Some(b));
-        }
-        assert_eq!(Backend::from_tag(7), None);
-    }
-
-    #[test]
-    fn repetitive_data_shrinks() {
-        let data = vec![7u8; 4096];
-        assert!(Backend::Rle.compress(&data).len() < 100);
-        assert!(Backend::Lzss.compress(&data).len() < data.len() / 4);
-    }
-}

@@ -9,9 +9,9 @@
 //!    error bound with *linear-scaling quantization* ([`quantizer`]): code
 //!    `round(residual / 2eb)` if it fits the code table, otherwise the value
 //!    is flagged *unpredictable* and stored verbatim;
-//! 3. the quantization codes are entropy-coded with canonical Huffman, and
-//!    the whole payload optionally passes through a byte-level lossless back
-//!    end ([`crate::lossless::Backend`]).
+//! 3. the quantization codes are entropy-coded with canonical Huffman and
+//!    the payload is stored as is: the stream keeps SZ's back-end tag byte,
+//!    but it is always `0` (no general-purpose lossless pass follows).
 //!
 //! Prediction always runs on *reconstructed* values, so encoder and decoder
 //! stay in lockstep and the bound `|x - x̂| <= eb` holds pointwise — the
@@ -37,7 +37,7 @@ pub mod lorenzo;
 pub mod predictor;
 pub mod quantizer;
 
-use crate::lossless::{huffman, rangecoder, Backend};
+use crate::lossless::{huffman, rangecoder};
 use crate::{
     varint, ChunkedStream, Codec, CodecError, CodecKind, CodecParams, ErrorControl, ValueType,
 };
@@ -48,6 +48,10 @@ use zmesh_kernels::sz::{quantize_lanes, Lane};
 pub use zmesh_kernels::sz::LANES;
 
 const MAGIC: &[u8; 4] = b"SZR1";
+
+/// The stream's back-end tag: no byte-level pass, the payload follows its
+/// length verbatim. Any other tag is corrupt.
+const NO_BACKEND: u8 = 0;
 
 /// Entropy stage for the quantization codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,8 +110,6 @@ impl EntropyCoder {
 pub struct SzConfig {
     /// Number of values per predictor-selection chunk.
     pub chunk_size: usize,
-    /// Byte-level lossless back end applied to the payload.
-    pub backend: Backend,
     /// Entropy stage for the quantization codes.
     pub entropy: EntropyCoder,
 }
@@ -116,7 +118,6 @@ impl Default for SzConfig {
     fn default() -> Self {
         Self {
             chunk_size: 4096,
-            backend: Backend::None,
             entropy: EntropyCoder::Huffman,
         }
     }
@@ -144,16 +145,6 @@ impl SzCodec {
     /// Codec with default configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Codec with an explicit lossless back end.
-    pub fn with_backend(backend: Backend) -> Self {
-        Self {
-            config: SzConfig {
-                backend,
-                ..SzConfig::default()
-            },
-        }
     }
 
     /// Codec with an explicit entropy stage.
@@ -298,7 +289,6 @@ impl Codec for SzCodec {
             .collect::<Result<_, CodecError>>()?;
         Ok(ChunkedStream {
             payloads: runs.into_iter().flatten().collect(),
-            chunk_lens: chunks.iter().map(|c| c.len()).collect(),
             resolved_bound,
         })
     }
@@ -378,9 +368,9 @@ pub fn quantize_streams(
 }
 
 /// Serializes one SZ stream of `n` values: the header (magic, length,
-/// bound, stored dims, block size, stage tags), then the payload —
-/// predictor tags, entropy-coded symbols, exact values — through the
-/// lossless back end.
+/// bound, stored dims, block size, stage tags), the payload's length, then
+/// the payload — predictor tags, entropy-coded symbols, exact values —
+/// written straight into the output.
 fn frame(
     q: &Quantized,
     n: usize,
@@ -389,21 +379,13 @@ fn frame(
     value_type: ValueType,
     config: &SzConfig,
 ) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(n / 2 + 64);
-    payload.extend_from_slice(&q.tags);
     let coded = config.entropy.encode(&q.symbols);
-    varint::write_u64(&mut payload, coded.len() as u64);
-    payload.extend_from_slice(&coded);
-    varint::write_u64(&mut payload, q.exact.len() as u64);
-    for &v in &q.exact {
-        match value_type {
-            ValueType::F64 => varint::write_f64(&mut payload, v),
-            ValueType::F32 => varint::write_f32(&mut payload, v as f32),
-        }
-    }
-
-    let body = config.backend.compress(&payload);
-    let mut out = Vec::with_capacity(body.len() + 32);
+    let payload_len = q.tags.len()
+        + varint::len_u64(coded.len() as u64)
+        + coded.len()
+        + varint::len_u64(q.exact.len() as u64)
+        + q.exact.len() * value_type.width();
+    let mut out = Vec::with_capacity(payload_len + 64);
     out.extend_from_slice(MAGIC);
     varint::write_u64(&mut out, n as u64);
     varint::write_f64(&mut out, eb);
@@ -411,10 +393,22 @@ fn frame(
         varint::write_u64(&mut out, d as u64);
     }
     varint::write_u64(&mut out, config.chunk_size.max(1) as u64);
-    out.push(config.backend.tag());
+    out.push(NO_BACKEND);
     out.push(config.entropy.tag());
     out.push(value_type.tag());
-    out.extend_from_slice(&body);
+    varint::write_u64(&mut out, payload_len as u64);
+    let payload_at = out.len();
+    out.extend_from_slice(&q.tags);
+    varint::write_u64(&mut out, coded.len() as u64);
+    out.extend_from_slice(&coded);
+    varint::write_u64(&mut out, q.exact.len() as u64);
+    for &v in &q.exact {
+        match value_type {
+            ValueType::F64 => varint::write_f64(&mut out, v),
+            ValueType::F32 => varint::write_f32(&mut out, v as f32),
+        }
+    }
+    debug_assert_eq!(out.len() - payload_at, payload_len);
     out
 }
 
@@ -451,12 +445,13 @@ fn decompress_impl(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
     if chunk == 0 {
         return Err(CodecError::Corrupt("zero chunk size"));
     }
-    let backend = Backend::from_tag(
-        *bytes
-            .get(pos)
-            .ok_or(CodecError::Corrupt("no backend tag"))?,
-    )
-    .ok_or(CodecError::Corrupt("unknown backend tag"))?;
+    if *bytes
+        .get(pos)
+        .ok_or(CodecError::Corrupt("no backend tag"))?
+        != NO_BACKEND
+    {
+        return Err(CodecError::Corrupt("unknown backend tag"));
+    }
     pos += 1;
     let entropy = EntropyCoder::from_tag(
         *bytes
@@ -472,33 +467,32 @@ fn decompress_impl(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
     )
     .ok_or(CodecError::Corrupt("unknown value-type tag"))?;
     pos += 1;
-    let payload = backend.decompress(&bytes[pos..])?;
+    let stored_len = varint::read_u64(bytes, &mut pos)?;
+    let payload = &bytes[pos..];
+    if payload.len() as u64 != stored_len {
+        return Err(CodecError::Corrupt("stored length mismatch"));
+    }
 
     let n_chunks = if dims == 1 { n.div_ceil(chunk) } else { 0 };
     let mut ppos = 0;
-    let tags = varint::read_bytes(&payload, &mut ppos, n_chunks)?.to_vec();
-    let preds: Vec<Predictor> = tags
+    let preds: Vec<Predictor> = varint::read_bytes(payload, &mut ppos, n_chunks)?
         .iter()
         .map(|&t| Predictor::from_tag(t).ok_or(CodecError::Corrupt("unknown predictor tag")))
         .collect::<Result<_, _>>()?;
-    let coded_len = varint::read_u64(&payload, &mut ppos)? as usize;
-    let coded = varint::read_bytes(&payload, &mut ppos, coded_len)?;
+    let coded_len = varint::read_u64(payload, &mut ppos)? as usize;
+    let coded = varint::read_bytes(payload, &mut ppos, coded_len)?;
     let symbols = entropy.decode(coded)?;
     if symbols.len() != n {
         return Err(CodecError::Corrupt("symbol count mismatch"));
     }
-    let n_exact = varint::read_u64(&payload, &mut ppos)? as usize;
+    let n_exact = varint::read_u64(payload, &mut ppos)? as usize;
     // Untrusted count: allocate no more than the bytes left can hold; a
     // larger count fails in the loop below.
-    let width = match value_type {
-        ValueType::F64 => 8,
-        ValueType::F32 => 4,
-    };
-    let mut exact = Vec::with_capacity(n_exact.min((payload.len() - ppos) / width));
+    let mut exact = Vec::with_capacity(n_exact.min((payload.len() - ppos) / value_type.width()));
     for _ in 0..n_exact {
         exact.push(match value_type {
-            ValueType::F64 => varint::read_f64(&payload, &mut ppos)?,
-            ValueType::F32 => f64::from(varint::read_f32(&payload, &mut ppos)?),
+            ValueType::F64 => varint::read_f64(payload, &mut ppos)?,
+            ValueType::F32 => f64::from(varint::read_f32(payload, &mut ppos)?),
         });
     }
 
@@ -615,19 +609,6 @@ mod tests {
     fn huge_jumps_escape() {
         let data = [0.0, 1e308, -1e308, 0.0, 1e-300];
         round_trip(&data, 1e-3);
-    }
-
-    #[test]
-    fn all_backends_round_trip() {
-        let data: Vec<f64> = (0..4000).map(|i| (i as f64 * 0.01).cos() * 10.0).collect();
-        for backend in [Backend::None, Backend::Rle, Backend::Lzss] {
-            let codec = SzCodec::with_backend(backend);
-            let bytes = codec.compress(&data, &CodecParams::abs_1d(1e-3)).unwrap();
-            let out = codec.decompress(&bytes).unwrap();
-            for (&a, &b) in data.iter().zip(&out) {
-                assert!((a - b).abs() <= 1e-3 * (1.0 + 1e-12), "{backend:?}");
-            }
-        }
     }
 
     #[test]

@@ -220,8 +220,6 @@ pub struct ChunkedStream {
     /// run of the input (the last may cover fewer values). Each decodes
     /// on its own with [`Codec::decompress`].
     pub payloads: Vec<Vec<u8>>,
-    /// Values covered by each payload, in order.
-    pub chunk_lens: Vec<usize>,
     /// The absolute error bound every chunk was compressed under, resolved
     /// over the *whole* stream (so relative bounds match the monolithic
     /// path). `None` for fixed-rate / fixed-precision control.
@@ -276,20 +274,8 @@ pub trait Codec {
             .collect();
         Ok(ChunkedStream {
             payloads: payloads?,
-            chunk_lens: chunks.iter().map(|c| c.len()).collect(),
             resolved_bound,
         })
-    }
-
-    /// Decodes and concatenates a chunk sequence produced by
-    /// [`Codec::compress_chunks`] (the full-stream inverse; readers wanting
-    /// a subset decode individual payloads with [`Codec::decompress`]).
-    fn decompress_chunks(&self, payloads: &[Vec<u8>]) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        for payload in payloads {
-            out.extend(self.decompress(payload)?);
-        }
-        Ok(out)
     }
 }
 
@@ -489,12 +475,16 @@ mod tests {
                 .compress_chunks(&data, &CodecParams::abs_1d(bound), 137)
                 .unwrap();
             assert_eq!(stream.payloads.len(), 1000usize.div_ceil(137));
-            assert_eq!(stream.chunk_lens.iter().sum::<usize>(), 1000);
             assert_eq!(stream.resolved_bound, Some(bound));
-            let out = codec.decompress_chunks(&stream.payloads).unwrap();
-            assert_eq!(out.len(), data.len());
-            for (i, (&a, &b)) in data.iter().zip(&out).enumerate() {
-                assert!((a - b).abs() <= bound, "idx {i}: |{a} - {b}| > {bound}");
+            for (c, (payload, chunk)) in stream.payloads.iter().zip(data.chunks(137)).enumerate() {
+                let out = codec.decompress(payload).unwrap();
+                assert_eq!(out.len(), chunk.len(), "chunk {c}");
+                for (i, (&a, &b)) in chunk.iter().zip(&out).enumerate() {
+                    assert!(
+                        (a - b).abs() <= bound,
+                        "chunk {c} idx {i}: |{a} - {b}| > {bound}"
+                    );
+                }
             }
         }
     }
@@ -511,9 +501,13 @@ mod tests {
             .unwrap();
         let global_bound = 1e-3 * 99.0;
         assert!((stream.resolved_bound.unwrap() - global_bound).abs() < 1e-12);
-        let out = codec.decompress_chunks(&stream.payloads).unwrap();
-        for (&a, &b) in data.iter().zip(&out) {
-            assert!((a - b).abs() <= global_bound);
+        assert_eq!(stream.payloads.len(), 2);
+        for (payload, chunk) in stream.payloads.iter().zip(data.chunks(100)) {
+            let out = codec.decompress(payload).unwrap();
+            assert_eq!(out.len(), chunk.len());
+            for (&a, &b) in chunk.iter().zip(&out) {
+                assert!((a - b).abs() <= global_bound);
+            }
         }
     }
 

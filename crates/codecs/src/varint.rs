@@ -15,6 +15,11 @@ pub fn write_u64(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`write_u64`] appends for `value`.
+pub fn len_u64(value: u64) -> usize {
+    (64 - value.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
 /// Reads a LEB128 varint starting at `*pos`, advancing `*pos`.
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
@@ -82,7 +87,9 @@ mod tests {
         let values = [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX, u64::MAX - 1];
         let mut buf = Vec::new();
         for &v in &values {
+            let before = buf.len();
             write_u64(&mut buf, v);
+            assert_eq!(buf.len() - before, len_u64(v), "{v}");
         }
         let mut pos = 0;
         for &v in &values {

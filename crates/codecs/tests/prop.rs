@@ -2,10 +2,9 @@
 //!
 //! * SZ honors its absolute error bound pointwise on arbitrary finite data;
 //! * ZFP honors its tolerance pointwise on arbitrary bounded data;
-//! * the lossless backends round-trip arbitrary bytes exactly.
+//! * the entropy stages round-trip arbitrary symbols exactly.
 
 use proptest::prelude::*;
-use zmesh_codecs::lossless::Backend;
 use zmesh_codecs::{Codec, CodecParams, SzCodec, ZfpCodec};
 
 /// Bounded values keep the test meaningful for ZFP (no NaN/Inf allowed).
@@ -95,15 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn lossless_backends_round_trip(
-        data in prop::collection::vec(any::<u8>(), 0..2000),
-        backend in prop::sample::select(&[Backend::None, Backend::Rle, Backend::Lzss][..])
-    ) {
-        let c = backend.compress(&data);
-        prop_assert_eq!(backend.decompress(&c).unwrap(), data);
-    }
-
-    #[test]
     fn sz_decompress_never_panics_on_garbage(
         data in prop::collection::vec(any::<u8>(), 0..300)
     ) {
@@ -120,19 +110,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn gorilla_round_trips_bitwise(
-        data in prop::collection::vec(any::<f64>(), 0..400)
-    ) {
-        use zmesh_codecs::lossless::gorilla;
-        let c = gorilla::compress(&data);
-        let d = gorilla::decompress(&c).unwrap();
-        prop_assert_eq!(d.len(), data.len());
-        for (a, b) in data.iter().zip(&d) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn rangecoder_round_trips(

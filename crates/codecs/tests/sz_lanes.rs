@@ -12,7 +12,7 @@
 //!   the reference framing, byte for byte.
 
 use proptest::prelude::*;
-use zmesh_codecs::lossless::{huffman, Backend};
+use zmesh_codecs::lossless::huffman;
 use zmesh_codecs::sz::predictor::{History, Predictor};
 use zmesh_codecs::sz::{quantize_streams, Quantized, SzConfig, LANES};
 use zmesh_codecs::{Codec, CodecParams, ErrorControl, SzCodec, ValueType};
@@ -133,8 +133,9 @@ mod reference {
         }
     }
 
-    /// The historical framing of a 1-D stream at the default config
-    /// (Huffman symbols, no lossless back end).
+    /// The historical framing of a 1-D stream at the default config:
+    /// Huffman symbols, back-end tag `0`, then the payload's length and
+    /// the payload itself.
     pub fn compress_1d(data: &[f64], eb: f64, value_type: ValueType) -> Vec<u8> {
         let chunk = SzConfig::default().chunk_size;
         let q = quantize_1d(data, eb, value_type == ValueType::F32, chunk);
@@ -151,8 +152,7 @@ mod reference {
             }
         }
 
-        let body = Backend::None.compress(&payload);
-        let mut out = Vec::with_capacity(body.len() + 32);
+        let mut out = Vec::with_capacity(payload.len() + 48);
         out.extend_from_slice(b"SZR1");
         write_u64(&mut out, data.len() as u64);
         out.extend_from_slice(&eb.to_le_bytes());
@@ -160,10 +160,11 @@ mod reference {
             write_u64(&mut out, 0);
         }
         write_u64(&mut out, chunk as u64);
-        out.push(Backend::None.tag());
+        out.push(0); // no back end
         out.push(0); // Huffman
         out.push(value_type.tag());
-        out.extend_from_slice(&body);
+        write_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
         out
     }
 }

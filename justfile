@@ -49,10 +49,6 @@ chaos-smoke:
 write-crash-smoke:
     bash scripts/write_crash_smoke.sh
 
-# Ranged vs in-memory store read bench, with machine-readable medians.
-bench-store-read:
-    CRITERION_JSON=BENCH_store_read.json cargo bench -p zmesh-bench --bench store_read
-
 # Buffered vs streaming store write bench (throughput + peak buffer /
 # peak RSS), with machine-readable medians.
 bench-store-write:

@@ -14,7 +14,7 @@
 //! * [`sfc`] — space-filling curves (Morton, Hilbert, row-major).
 //! * [`bitstream`] — bit-granular I/O used by the codecs.
 //! * [`codecs`] — SZ-like and ZFP-like error-bounded lossy compressors and
-//!   the lossless substrate (Huffman, range coder, Gorilla, RLE, LZSS).
+//!   their entropy stages (Huffman, range coder).
 //! * [`metrics`] — smoothness, distortion, and ratio metrics.
 //! * [`store`] — the on-disk format: the chunked, indexed v2/v3/v4 store with
 //!   random-access region queries, a recipe cache, XOR or Reed–Solomon

@@ -434,32 +434,39 @@ fn hostile_entropy_and_sz_headers_are_typed_errors() {
     );
 }
 
-/// SZ streams through the RLE (tag 1) and LZSS (tag 2) back ends whose
-/// body declares 2^40 decompressed bytes: the claim must not size an
-/// allocation (it aborted the process), only fail the decode.
+/// An SZ stream's back-end tag is always `0`: tags 1 and 2 (the RLE and
+/// LZSS back ends, retired) and any other value are typed `Corrupt`, and a
+/// stored payload length that disagrees with the bytes left is too.
 #[test]
-fn hostile_lossless_lengths_are_typed_errors() {
-    use zmesh_codecs::lossless::Backend;
-    use zmesh_codecs::{Codec, CodecError, SzCodec};
-    for backend in [Backend::Rle, Backend::Lzss] {
-        let mut sz = b"SZR1".to_vec();
-        varint(&mut sz, 8);
-        sz.extend_from_slice(&1e-3f64.to_le_bytes());
-        for v in [0, 0, 0, 4096] {
-            varint(&mut sz, v);
-        }
-        sz.extend_from_slice(&[backend.tag(), 0, 0]);
-        varint(&mut sz, 1 << 40);
-        sz.extend_from_slice(&[0x7f, 0xff, 0x00, 0x81, 0x42, 0x13]);
-        let got = std::panic::catch_unwind(|| SzCodec::new().decompress(&sz));
+fn sz_backend_tag_and_stored_length_are_checked() {
+    use zmesh_codecs::{Codec, CodecError, CodecParams, SzCodec};
+    let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.1).sin()).collect();
+    let valid = SzCodec::new()
+        .compress(&data, &CodecParams::abs_1d(1e-3))
+        .expect("compress");
+    // Magic, n = 100 (one varint byte), bound, three zero dims, block 4096
+    // (two varint bytes), then the back-end tag.
+    let tag_at = 4 + 1 + 8 + 3 + 2;
+    assert_eq!(valid[tag_at], 0);
+    assert_eq!(SzCodec::new().decompress(&valid).expect("valid").len(), 100);
+    let decode = |bytes: Vec<u8>| std::panic::catch_unwind(|| SzCodec::new().decompress(&bytes));
+    for tag in [1u8, 2, 255] {
+        let mut bad = valid.clone();
+        bad[tag_at] = tag;
+        let got = decode(bad);
         assert!(
-            matches!(got, Ok(Err(CodecError::Corrupt(_)))),
-            "{backend:?}: {got:?}"
+            matches!(got, Ok(Err(CodecError::Corrupt("unknown backend tag")))),
+            "tag {tag}: {got:?}"
         );
-        let got = std::panic::catch_unwind(|| backend.decompress(&sz[sz.len() - 12..]));
+    }
+    let mut long = valid.clone();
+    long.push(0);
+    let short = valid[..valid.len() - 1].to_vec();
+    for bad in [long, short] {
+        let got = decode(bad);
         assert!(
-            matches!(got, Ok(Err(CodecError::Corrupt(_)))),
-            "{backend:?}: {got:?}"
+            matches!(got, Ok(Err(CodecError::Corrupt("stored length mismatch")))),
+            "{got:?}"
         );
     }
 }
