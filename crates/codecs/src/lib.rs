@@ -15,8 +15,10 @@
 //!   4 / 4×4 / 4×4×4 blocks, block-floating-point, lifted decorrelating
 //!   transform, total-sequency coefficient order, negabinary, embedded
 //!   group-tested bit-plane coding; fixed-accuracy and fixed-rate modes.
-//! * [`lossless`] — SZ's entropy stages: canonical Huffman and an adaptive
-//!   range coder.
+//! * [`lossless`] — SZ's entropy stages: canonical Huffman (the default;
+//!   a multi-lane histogram, an in-place tree build and table-driven
+//!   decoding that resolves every valid code without a bit-serial walk) and
+//!   an adaptive range coder.
 //!
 //! Both lossy codecs implement the [`Codec`] trait and honor the configured
 //! absolute error bound **pointwise** (property-tested in `tests/`).

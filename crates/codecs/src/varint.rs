@@ -21,7 +21,13 @@ pub fn len_u64(value: u64) -> usize {
 }
 
 /// Reads a LEB128 varint starting at `*pos`, advancing `*pos`.
+#[inline]
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    // One-byte values, most table entries, skip the loop.
+    if let Some(&byte) = buf.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(byte));
+    }
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {

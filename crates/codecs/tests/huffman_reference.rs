@@ -470,3 +470,199 @@ fn incomplete_and_overfull_tables_match_reference() {
         }
     }
 }
+
+/// Pack-chunk-shaped codes: a narrow geometric core around `RADIUS` with
+/// a wide geometric tail mixed in for `wide_in_256`/256 of the values.
+fn mixed(seed: u64, n: usize, narrow: u64, wide: u64, wide_in_256: u64) -> Vec<u16> {
+    let core = geometric(seed, n, narrow);
+    let tail = geometric(!seed, n, wide);
+    let mut rng = Mix(seed ^ 0x5555);
+    core.iter()
+        .zip(&tail)
+        .map(|(&c, &t)| if rng.next() % 256 < wide_in_256 { t } else { c })
+        .collect()
+}
+
+/// LEB128, as the stream's counts are written.
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut value = 0;
+    for shift in (0..).step_by(7) {
+        let byte = bytes[*pos];
+        *pos += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    value
+}
+
+fn write_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// A valid stream's bytes before its payload-length field, and its payload.
+fn split_payload(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let mut pos = 0;
+    read_varint(bytes, &mut pos);
+    for _ in 0..read_varint(bytes, &mut pos) {
+        read_varint(bytes, &mut pos);
+        pos += 1;
+    }
+    let header = pos;
+    let len = read_varint(bytes, &mut pos) as usize;
+    (&bytes[..header], &bytes[pos..pos + len])
+}
+
+/// The stream with its payload cut to `cut` bytes and the length field
+/// saying so: the decoders run out of bits mid-stream.
+fn restated_cut(bytes: &[u8], cut: usize) -> Vec<u8> {
+    let (header, payload) = split_payload(bytes);
+    let mut out = header.to_vec();
+    write_varint(&mut out, cut as u64);
+    out.extend_from_slice(&payload[..cut]);
+    out
+}
+
+/// Decode agrees with the reference on every truncation of `bytes`, on
+/// its payload cut short at every `stride`-th byte and the last 16 with the
+/// length re-stated, and on `flips` single-bit flips anywhere.
+fn same_decode_under_damage(
+    bytes: &[u8],
+    stride: usize,
+    flips: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    for cut in 0..bytes.len() {
+        same_decode(&bytes[..cut])?;
+    }
+    let payload_len = split_payload(bytes).1.len();
+    let tail = payload_len.saturating_sub(16);
+    for cut in (0..tail).step_by(stride).chain(tail..payload_len) {
+        same_decode(&restated_cut(bytes, cut))?;
+    }
+    let mut rng = Mix(seed);
+    for _ in 0..flips {
+        let mut flipped = bytes.to_vec();
+        let at = rng.next() as usize % flipped.len();
+        flipped[at] ^= 1 << (rng.next() % 8);
+        same_decode(&flipped)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn pack_shaped_chunks_match_reference() {
+    // 8,192 codes as a 64 KiB chunk of f64 quantizes: 500-600 symbols
+    // present, codes up to 13 bits, a few percent of values coded in more
+    // than 11.
+    for seed in 0..3 {
+        let symbols = mixed(seed, 8192, 190, 254, 40);
+        let mut freqs = vec![0u64; 1 << 16];
+        for &s in &symbols {
+            freqs[usize::from(s)] += 1;
+        }
+        let lens = huffman::code_lengths(&freqs);
+        let present = freqs.iter().filter(|&&f| f > 0).count();
+        let long: u64 = (0..1 << 16)
+            .filter(|&s| lens[s] > 11)
+            .map(|s| freqs[s])
+            .sum();
+        assert!((500..=600).contains(&present), "{present} present");
+        assert_eq!(lens.iter().max(), Some(&13));
+        assert!((200..=800).contains(&long), "{long} values in long codes");
+
+        let bytes = huffman::encode(&symbols);
+        assert_eq!(bytes, reference::encode(&symbols));
+        assert_eq!(huffman::decode(&bytes).unwrap(), symbols);
+        same_decode_under_damage(&bytes, 97, 64, seed).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn serve_shaped_chunks_match_reference(
+        seed in any::<u64>(),
+        narrow in 100u64..230,
+        wide_in_256 in 0u64..96,
+    ) {
+        // 256 codes as a 2 KiB chunk of f64 quantizes.
+        let symbols = mixed(seed, 256, narrow, 254, wide_in_256);
+        let bytes = huffman::encode(&symbols);
+        prop_assert_eq!(&bytes, &reference::encode(&symbols));
+        prop_assert_eq!(huffman::decode(&bytes).unwrap(), symbols);
+        same_decode_under_damage(&bytes, 1, 32, seed)?;
+    }
+}
+
+#[test]
+fn tables_reaching_max_code_len_match_reference() {
+    // Incomplete codes with a code of MAX_CODE_LEN bits: a one-bit code
+    // and a 32-bit one, and the deepest chain (lengths 1, 2, ..., 32). Every
+    // length past the primary table is present, and the bits no code
+    // starts with walk to the reference's errors.
+    let chain: Vec<(u16, u8)> = (0..32).map(|s| (s * 3, s as u8 + 1)).collect();
+    let tables: [&[(u16, u8)]; 3] = [
+        &[(0, 1), (5, 32)],
+        &[(1, 2), (2, 2), (9, 3), (70, 32)],
+        &chain,
+    ];
+    let mut rng = Mix(32);
+    for table in tables {
+        for n_symbols in [1u8, 2, 5, 17, 100] {
+            for payload_len in 0..24 {
+                let mut bytes = vec![n_symbols, table.len() as u8];
+                let mut prev = 0;
+                for &(s, len) in table {
+                    write_varint(&mut bytes, u64::from(s - prev));
+                    bytes.push(len);
+                    prev = s;
+                }
+                bytes.push(payload_len);
+                // Runs of ones reach the long codes; random bytes mix them.
+                bytes.extend((0..payload_len).map(|i| match i % 3 {
+                    0 => 0xff,
+                    1 => 0x7f,
+                    _ => rng.next() as u8,
+                }));
+                assert_eq!(
+                    huffman::decode(&bytes),
+                    reference::decode(&bytes),
+                    "{bytes:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn complete_codes_of_max_code_len_round_trip() {
+    // Fibonacci counts over 33 symbols (9.2 million codes) give the least
+    // stream whose complete code reaches MAX_CODE_LEN. Lengths and bytes
+    // match the reference's. The reference decoder is not compared: its
+    // u32 canonical code counter wraps past the last 32-bit code, so it
+    // rejects the stream in release builds and traps in debug ones, as
+    // its encoder's does after the last code in debug ones.
+    let (mut a, mut b) = (1u64, 1u64);
+    let mut freqs = Vec::new();
+    let mut symbols = Vec::new();
+    for s in 0..33u16 {
+        freqs.push(a);
+        symbols.extend(std::iter::repeat_n(s * 1000, a as usize));
+        (a, b) = (b, a + b);
+    }
+    let lens = huffman::code_lengths(&freqs);
+    assert_eq!(lens, reference::code_lengths(&freqs));
+    assert_eq!(lens.iter().max(), Some(&huffman::MAX_CODE_LEN));
+    let bytes = huffman::encode(&symbols);
+    if !cfg!(debug_assertions) {
+        assert_eq!(bytes, reference::encode(&symbols));
+    }
+    assert_eq!(huffman::decode(&bytes).unwrap(), symbols);
+}

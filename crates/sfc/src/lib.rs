@@ -43,7 +43,7 @@ pub use hilbert_fast::{
 pub use morton::{
     morton_index_2d, morton_index_3d, morton_point_2d, morton_point_3d, MAX_BITS_2D, MAX_BITS_3D,
 };
-pub use ranges::{bbox_ranges_2d, bbox_ranges_3d};
+pub use ranges::{bbox_meets_interval_2d, bbox_meets_interval_3d, bbox_ranges_2d, bbox_ranges_3d};
 pub use rowmajor::{
     row_major_index_2d, row_major_index_3d, row_major_point_2d, row_major_point_3d,
 };

@@ -11,6 +11,7 @@
 //! reports the loss in a [`DamageReport`].
 
 use crate::cache::RecipeCache;
+use crate::chunk::ChunkMeta;
 use crate::chunk_cache::{ChunkCache, ChunkKey, ChunkValues, Claim};
 use crate::format::{self, ChunkKind, FieldEntry, Spans, StoreError, StoreHeader};
 use crate::parity::{group_members, group_of, Parity};
@@ -20,7 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use zmesh::{codec_for, GroupingMode, RestoreRecipe};
 use zmesh_amr::{AmrField, AmrTree, Cell, Dim};
-use zmesh_sfc::{bbox_ranges_2d, bbox_ranges_3d};
+use zmesh_sfc::{bbox_meets_interval_2d, bbox_meets_interval_3d};
 
 /// The value salvage reads substitute for cells that could not be
 /// recovered (NaN by default; `Zero` for consumers that choke on NaN).
@@ -893,55 +894,66 @@ impl<S: ByteSource> StoreReader<S> {
         let mut results: Vec<Option<Result<ChunkValues, StoreError>>> =
             ids.iter().map(|_| None).collect();
         let groups = coalesce(&spans, entry, ids, &mut results);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(ReadGroup, Result<Vec<u8>, StoreError>)>(
-            PREFETCH_WINDOW,
-        );
-        std::thread::scope(|scope| {
-            let this = &*self;
-            scope.spawn(move || {
-                for group in groups {
-                    let len = (group.range.end - group.range.start) as usize;
-                    let bytes = this.retry.run(&this.retry_counters, || {
-                        this.source.read_vec(group.range.start, len)
-                    });
-                    if tx.send((group, bytes)).is_err() {
-                        return;
-                    }
-                }
-            });
-            for (group, bytes) in rx {
-                match bytes {
-                    Ok(bytes) => {
-                        let decoded: Vec<(usize, Result<ChunkValues, StoreError>)> = group
-                            .members
-                            .par_iter()
-                            .map(|&pos| {
-                                let i = ids[pos];
-                                let meta = &entry.chunks[i];
-                                // In-group offset: the span was validated
-                                // by `coalesce`, so this cannot wrap.
-                                let lo =
-                                    (self.payload.start + meta.offset - group.range.start) as usize;
-                                let payload = &bytes[lo..lo + meta.len as usize];
-                                let decoded = spans
-                                    .verify(entry, ChunkKind::Data(i), payload)
-                                    .and_then(|()| self.decode_verified(i, payload));
-                                (pos, decoded.map(Arc::new))
-                            })
-                            .collect();
-                        for (pos, result) in decoded {
-                            results[pos] = Some(result);
-                        }
-                    }
-                    // A failed group read fans out to all its chunks.
-                    Err(e) => {
-                        for &pos in &group.members {
-                            results[pos] = Some(Err(e.clone()));
-                        }
-                    }
+        let read = |group: &ReadGroup| {
+            let len = (group.range.end - group.range.start) as usize;
+            self.retry.run(&self.retry_counters, || {
+                self.source.read_vec(group.range.start, len)
+            })
+        };
+        let mut settle = |group: ReadGroup, bytes: Result<Vec<u8>, StoreError>| match bytes {
+            Ok(bytes) => {
+                let decoded: Vec<(usize, Result<ChunkValues, StoreError>)> = group
+                    .members
+                    .par_iter()
+                    .map(|&pos| {
+                        let i = ids[pos];
+                        let meta = &entry.chunks[i];
+                        // In-group offset: the span was validated by
+                        // `coalesce`, so this cannot wrap.
+                        let lo = (self.payload.start + meta.offset - group.range.start) as usize;
+                        let payload = &bytes[lo..lo + meta.len as usize];
+                        let decoded = spans
+                            .verify(entry, ChunkKind::Data(i), payload)
+                            .and_then(|()| self.decode_verified(i, payload));
+                        (pos, decoded.map(Arc::new))
+                    })
+                    .collect();
+                for (pos, result) in decoded {
+                    results[pos] = Some(result);
                 }
             }
-        });
+            // A failed group read fans out to all its chunks.
+            Err(e) => {
+                for &pos in &group.members {
+                    results[pos] = Some(Err(e.clone()));
+                }
+            }
+        };
+        if groups.len() <= 1 {
+            // A lone read has no decode to overlap with: no producer thread.
+            for group in groups {
+                let bytes = read(&group);
+                settle(group, bytes);
+            }
+        } else {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<(ReadGroup, Result<Vec<u8>, StoreError>)>(
+                PREFETCH_WINDOW,
+            );
+            std::thread::scope(|scope| {
+                let read = &read;
+                scope.spawn(move || {
+                    for group in groups {
+                        let bytes = read(&group);
+                        if tx.send((group, bytes)).is_err() {
+                            return;
+                        }
+                    }
+                });
+                for (group, bytes) in rx {
+                    settle(group, bytes);
+                }
+            });
+        }
         ids.iter()
             .zip(results)
             .map(|(&i, r)| (i, r.expect("every selected chunk has a decode result")))
@@ -1067,34 +1079,30 @@ impl<S: ByteSource> StoreReader<S> {
         let bits = self.tree.finest_bits();
         let side = 1u64 << bits;
         let clamp = |v: u32| u64::from(v).min(side - 1);
+        let (lo, hi) = (query.bbox_lo.map(clamp), query.bbox_hi.map(clamp));
         // Curve-interval pruning (exact for Morton/Hilbert; level-order
         // stores no curve and is pruned by bounding box alone).
-        let ranges = self
-            .header
-            .policy
-            .curve()
-            .map(|kind| match self.tree.dim() {
-                Dim::D2 => bbox_ranges_2d(
+        let curve = self.header.policy.curve();
+        let meets_curve = |meta: &ChunkMeta| {
+            curve.is_none_or(|kind| match self.tree.dim() {
+                Dim::D2 => bbox_meets_interval_2d(
                     kind,
                     bits,
-                    (clamp(query.bbox_lo[0]), clamp(query.bbox_lo[1])),
-                    (clamp(query.bbox_hi[0]), clamp(query.bbox_hi[1])),
+                    (lo[0], lo[1]),
+                    (hi[0], hi[1]),
+                    meta.curve_lo,
+                    meta.curve_hi,
                 ),
-                Dim::D3 => bbox_ranges_3d(
+                Dim::D3 => bbox_meets_interval_3d(
                     kind,
                     bits,
-                    (
-                        clamp(query.bbox_lo[0]),
-                        clamp(query.bbox_lo[1]),
-                        clamp(query.bbox_lo[2]),
-                    ),
-                    (
-                        clamp(query.bbox_hi[0]),
-                        clamp(query.bbox_hi[1]),
-                        clamp(query.bbox_hi[2]),
-                    ),
+                    (lo[0], lo[1], lo[2]),
+                    (hi[0], hi[1], hi[2]),
+                    meta.curve_lo,
+                    meta.curve_hi,
                 ),
-            });
+            })
+        };
         Ok(entry
             .chunks
             .iter()
@@ -1102,7 +1110,7 @@ impl<S: ByteSource> StoreReader<S> {
             .filter(|(_, meta)| {
                 meta.level_mask & query.level_mask != 0
                     && meta.overlaps_bbox(query.bbox_lo, query.bbox_hi)
-                    && ranges.as_deref().is_none_or(|r| meta.overlaps_ranges(r))
+                    && meets_curve(meta)
             })
             .map(|(i, _)| i)
             .collect())
@@ -1192,6 +1200,86 @@ mod tests {
             .write(&refs(&ds))
             .unwrap();
         (ds, out.bytes)
+    }
+
+    #[test]
+    fn chunk_selection_matches_the_range_list_rule() {
+        // The interval test must pick exactly the chunks that meet the
+        // box's curve-range list, on every preset, both curves, random
+        // boxes (some past the grid, to exercise the clamp) and levels.
+        use zmesh::OrderingPolicy;
+        use zmesh_sfc::{bbox_ranges_2d, bbox_ranges_3d};
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        for ds in datasets::all(StorageMode::AllCells, datasets::Scale::Tiny) {
+            for policy in [OrderingPolicy::Hilbert, OrderingPolicy::ZOrder] {
+                let config = CompressionConfig {
+                    policy,
+                    ..CompressionConfig::zmesh_default()
+                };
+                let bytes = StoreWriter::new(config)
+                    .with_chunk_target_bytes(512)
+                    .write(&refs(&ds))
+                    .unwrap()
+                    .bytes;
+                let reader = StoreReader::open(&bytes).unwrap();
+                let (_, entry) = reader.field(&ds.fields[0].0).unwrap();
+                assert!(entry.chunks.len() > 4, "{}", ds.name);
+                let tree = reader.tree();
+                let (bits, kind) = (tree.finest_bits(), policy.curve().unwrap());
+                let side = 1u64 << bits;
+                let axes = if tree.dim() == Dim::D2 { 2 } else { 3 };
+                for round in 0..80 {
+                    let (mut lo, mut hi) = ([0u32; 3], [0u32; 3]);
+                    for a in 0..axes {
+                        let p = next(side + 2);
+                        let q = if round % 2 == 0 {
+                            next(side + 2)
+                        } else {
+                            p + next(side / 4 + 1)
+                        };
+                        (lo[a], hi[a]) = (p.min(q) as u32, p.max(q) as u32);
+                    }
+                    let level_mask = 1 + next((1 << (tree.max_level() + 1)) - 1) as u32;
+                    let query = Query {
+                        bbox_lo: lo,
+                        bbox_hi: hi,
+                        level_mask,
+                    };
+                    let c = |v: u32| u64::from(v).min(side - 1);
+                    let ranges = match tree.dim() {
+                        Dim::D2 => {
+                            bbox_ranges_2d(kind, bits, (c(lo[0]), c(lo[1])), (c(hi[0]), c(hi[1])))
+                        }
+                        Dim::D3 => bbox_ranges_3d(
+                            kind,
+                            bits,
+                            (c(lo[0]), c(lo[1]), c(lo[2])),
+                            (c(hi[0]), c(hi[1]), c(hi[2])),
+                        ),
+                    };
+                    let want: Vec<usize> = (0..entry.chunks.len())
+                        .filter(|&i| {
+                            let meta = &entry.chunks[i];
+                            meta.level_mask & level_mask != 0
+                                && meta.overlaps_bbox(lo, hi)
+                                && meta.overlaps_ranges(&ranges)
+                        })
+                        .collect();
+                    assert_eq!(
+                        reader.select_chunks(entry, &query).unwrap(),
+                        want,
+                        "{} {policy:?} {query:?}",
+                        ds.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,11 @@ bench-store-write:
 bench-kernels:
     CRITERION_JSON=BENCH_kernels.json cargo bench -p zmesh-bench --bench kernels
 
+# SZ/ZFP codec throughput and the Huffman entropy stage alone at store
+# chunk sizes (256 and 8192 values), with machine-readable medians.
+bench-codecs:
+    CRITERION_JSON=BENCH_codecs.json cargo bench -p zmesh-bench --bench codecs
+
 # Multi-client daemon traffic generator: QPS + p50/p95/p99 and cache hit
 # rates, written to BENCH_serve.json.
 bench-serve:
