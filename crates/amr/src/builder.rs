@@ -166,7 +166,7 @@ mod tests {
         // Only the lower-left corner is deep.
         for leaf in t.leaves() {
             if leaf.level == 2 {
-                let c = t.cell_center(leaf);
+                let c = t.cell_center(&leaf);
                 assert!(
                     c[0] < 0.25 && c[1] < 0.25,
                     "deep leaf outside region: {c:?}"

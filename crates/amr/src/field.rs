@@ -83,12 +83,13 @@ impl AmrField {
             StorageMode::LeafOnly => tree
                 .leaf_indices()
                 .par_iter()
-                .map(|&i| f(tree.cell_center(&tree.cells()[i as usize])))
+                .map(|&i| f(tree.cell_center(&tree.cell(i as usize))))
                 .collect(),
             StorageMode::AllCells => tree
-                .cells()
+                .packed_coords()
                 .par_iter()
-                .map(|c| f(tree.cell_center(c)))
+                .enumerate()
+                .map(|(i, _)| f(tree.cell_center(&tree.cell(i))))
                 .collect(),
         };
         Self { tree, mode, values }
@@ -108,48 +109,37 @@ impl AmrField {
         }
         // Pass 1: leaf values from the sampler, placeholder elsewhere.
         let mut values: Vec<f64> = tree
-            .cells()
+            .packed_coords()
             .par_iter()
-            .map(|c| {
+            .enumerate()
+            .map(|(i, _)| {
+                let c = tree.cell(i);
                 if c.is_leaf {
-                    f(tree.cell_center(c))
+                    f(tree.cell_center(&c))
                 } else {
                     0.0
                 }
             })
             .collect();
-        // Pass 2: restrict bottom-up. Build a per-level index from packed
-        // coords to cell index so parents can find their children.
-        let max_level = tree.max_level();
-        for level in (0..max_level).rev() {
-            let child_cells = tree.level_cells(level + 1);
-            let child_start = tree.level_start(level + 1);
-            let mut child_index: Vec<(u64, usize)> = child_cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (c.coord.pack(), child_start + i))
-                .collect();
-            child_index.sort_unstable_by_key(|&(k, _)| k);
-
-            let parent_start = tree.level_start(level);
-            let n_children = tree.dim().children();
+        // Pass 2: restrict bottom-up; a refined cell's link names where its
+        // children, in child-bit order, sit among the slots.
+        let links = tree.links();
+        let n_children = tree.dim().children();
+        for level in (0..tree.max_level()).rev() {
+            let start = tree.level_start(level);
+            let end = start + tree.level_cells(level).len();
             // Collect restricted parent values first (no aliasing), then
             // write them back.
-            let updates: Vec<(usize, f64)> = tree
-                .level_cells(level)
+            let updates: Vec<(usize, f64)> = links.links[start..end]
                 .par_iter()
                 .enumerate()
-                .filter(|(_, c)| !c.is_leaf)
-                .map(|(i, c)| {
+                .filter(|&(i, _)| !links.is_leaf((start + i) as u32))
+                .map(|(i, &first)| {
                     let mut sum = 0.0;
-                    for ch in 0..n_children {
-                        let key = c.coord.child(ch).pack();
-                        let idx = child_index
-                            .binary_search_by_key(&key, |&(k, _)| k)
-                            .expect("refined cell has all children");
-                        sum += values[child_index[idx].1];
+                    for &child in &links.slots[first as usize..][..n_children] {
+                        sum += values[child as usize];
                     }
-                    (parent_start + i, sum / n_children as f64)
+                    (start + i, sum / n_children as f64)
                 })
                 .collect();
             for (idx, v) in updates {
@@ -178,7 +168,7 @@ impl AmrField {
             let v = self.values[vpos];
             let shift = tree.max_level() - leaf.level;
             let side = 1usize << shift;
-            let a = tree.anchor(leaf);
+            let a = tree.anchor(&leaf);
             let (ax, ay, az) = (a.x as usize, a.y as usize, a.z as usize);
             let z_extent = if dims[2] == 1 { 1 } else { side };
             for dz in 0..z_extent {
@@ -261,7 +251,7 @@ mod tests {
         // Field value = x coordinate of center; check against direct calc.
         let f = AmrField::sample(t.clone(), StorageMode::AllCells, |p| p[0]);
         for (cell, &v) in t.cells().iter().zip(f.values()) {
-            assert_eq!(v, t.cell_center(cell)[0]);
+            assert_eq!(v, t.cell_center(&cell)[0]);
         }
     }
 

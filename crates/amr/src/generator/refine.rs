@@ -131,7 +131,7 @@ mod tests {
         let deep: Vec<f64> = tree
             .leaves()
             .filter(|c| c.level == 3)
-            .map(|leaf| field(tree.cell_center(leaf)).abs())
+            .map(|leaf| field(tree.cell_center(&leaf)).abs())
             .collect();
         assert!(!deep.is_empty());
         let in_band = deep.iter().filter(|v| **v < 0.99).count();

@@ -61,12 +61,8 @@ impl FileLayout {
 /// [`StorageMode::LeafOnly`], `0..cell_count` for [`StorageMode::AllCells`].
 pub fn storage_permutation(tree: &AmrTree, mode: StorageMode, layout: FileLayout) -> Vec<u32> {
     // Cell of the value at each canonical position.
-    let cell_at: Vec<&Cell> = match mode {
-        StorageMode::LeafOnly => tree
-            .leaf_indices()
-            .iter()
-            .map(|&ci| &tree.cells()[ci as usize])
-            .collect(),
+    let cell_at: Vec<Cell> = match mode {
+        StorageMode::LeafOnly => tree.leaves().collect(),
         StorageMode::AllCells => tree.cells().iter().collect(),
     };
     // Sort key per value position: (level, layout-specific key).
@@ -130,15 +126,14 @@ pub fn storage_permutation(tree: &AmrTree, mode: StorageMode, layout: FileLayout
     keyed.iter().map(|&(_, _, pos)| pos).collect()
 }
 
-fn relevant_level_cells(tree: &AmrTree, mode: StorageMode, level: u32) -> Vec<(u32, &Cell)> {
+fn relevant_level_cells(tree: &AmrTree, mode: StorageMode, level: u32) -> Vec<(u32, Cell)> {
     // (position in the *canonical participating order*, cell).
     match mode {
         StorageMode::LeafOnly => tree
-            .leaf_indices()
-            .iter()
+            .leaves()
             .enumerate()
-            .filter(|(_, &ci)| tree.cells()[ci as usize].level == level)
-            .map(|(pos, &ci)| (pos as u32, &tree.cells()[ci as usize]))
+            .filter(|(_, c)| c.level == level)
+            .map(|(pos, c)| (pos as u32, c))
             .collect(),
         StorageMode::AllCells => {
             let start = tree.level_start(level);
@@ -210,7 +205,7 @@ mod tests {
             let order = storage_permutation(&tree, StorageMode::AllCells, layout);
             let mut prev_level = 0;
             for &i in &order {
-                let level = tree.cells()[i as usize].level;
+                let level = tree.cell(i as usize).level;
                 assert!(level >= prev_level, "{layout:?}: level order violated");
                 prev_level = level;
             }
@@ -223,7 +218,7 @@ mod tests {
         let order = storage_permutation(&tree, StorageMode::AllCells, FileLayout::RowMajor);
         let mut prev: Option<(u32, u64)> = None;
         for &i in &order {
-            let c = &tree.cells()[i as usize];
+            let c = tree.cell(i as usize);
             let key = (c.level, c.coord.pack());
             if let Some(p) = prev {
                 assert!(p < key);

@@ -48,4 +48,4 @@ pub use generator::refine::RefineCriterion;
 pub use geometry::{CellCoord, Dim, COORD_BITS};
 pub use io::{load_dataset, save_dataset};
 pub use stats::{DatasetStats, LevelStats};
-pub use tree::{AmrTree, Cell, TreeLinks};
+pub use tree::{AmrTree, Cell, CellIter, Cells, TreeLinks};

@@ -42,6 +42,11 @@ pub struct Cell {
 /// The parent → child links of an [`AmrTree`], laid out by the tree
 /// decode for a depth-first walk ([`AmrTree::links`]).
 ///
+/// The links also say which cells are leaves: cell `i` is a leaf exactly
+/// when `links[i] <= i`. A leaf's link is its leaf index, and no more
+/// leaves than cells precede it; a refined cell's link points into the
+/// next level, past every index of its own ([`TreeLinks::is_leaf`]).
+///
 /// ```
 /// use zmesh_amr::{AmrTree, CellCoord, Dim};
 ///
@@ -50,10 +55,11 @@ pub struct Cell {
 /// let tree = AmrTree::from_refined(Dim::D2, [2, 2, 1], refined).unwrap();
 /// let links = tree.links();
 /// let parent = links.slots[1]; // level-0 cell (1, 0)
-/// assert!(!tree.cells()[parent as usize].is_leaf);
+/// assert!(!links.is_leaf(parent));
 /// let first = links.links[parent as usize] as usize;
-/// let child = links.slots[first + 0b11] as usize; // child (x+1, y+1)
-/// assert_eq!(tree.cells()[child].coord, CellCoord::new(3, 1, 0));
+/// let child = links.slots[first + 0b11]; // child (x+1, y+1)
+/// assert!(links.is_leaf(child));
+/// assert_eq!(tree.cell(child as usize).coord, CellCoord::new(3, 1, 0));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TreeLinks<'a> {
@@ -67,6 +73,111 @@ pub struct TreeLinks<'a> {
     pub links: &'a [u32],
 }
 
+impl TreeLinks<'_> {
+    /// Whether the cell at storage index `cell` is a leaf.
+    #[inline]
+    pub fn is_leaf(&self, cell: u32) -> bool {
+        self.links[cell as usize] <= cell
+    }
+}
+
+/// A run of an [`AmrTree`]'s cells in storage order, borrowed from the
+/// tree ([`AmrTree::cells`], [`AmrTree::level_cells`]). The tree stores no
+/// [`Cell`]s; iterating the view assembles each one by value, walking the
+/// level ranges in order. [`AmrTree::cell`] serves random access.
+#[derive(Clone)]
+pub struct Cells<'a> {
+    tree: &'a AmrTree,
+    /// Level of the first cell of `range`.
+    level: u32,
+    /// Storage indices covered.
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Cells<'a> {
+    /// Number of cells in the view.
+    pub fn len(&self) -> usize {
+        self.range.len()
+    }
+
+    /// Whether the view holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
+    }
+
+    /// The cells in storage order.
+    pub fn iter(&self) -> CellIter<'a> {
+        let tree = self.tree;
+        CellIter {
+            coords: &tree.coords,
+            links: &tree.links,
+            level_starts: &tree.level_starts,
+            level: self.level,
+            level_end: tree.level_starts[self.level as usize + 1],
+            range: self.range.clone(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Cells<'a> {
+    type Item = Cell;
+    type IntoIter = CellIter<'a>;
+
+    fn into_iter(self) -> CellIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Cells<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Cells<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Cells`] view, yielding each [`Cell`] by value.
+#[derive(Debug, Clone)]
+pub struct CellIter<'a> {
+    coords: &'a [u64],
+    links: &'a [u32],
+    level_starts: &'a [usize],
+    /// Level of the next cell, once `level_end` is past it.
+    level: u32,
+    /// First storage index past `level`.
+    level_end: usize,
+    /// Storage indices still to yield.
+    range: std::ops::Range<usize>,
+}
+
+impl Iterator for CellIter<'_> {
+    type Item = Cell;
+
+    #[inline]
+    fn next(&mut self) -> Option<Cell> {
+        let i = self.range.next()?;
+        while self.level_end <= i {
+            self.level += 1;
+            self.level_end = self.level_starts[self.level as usize + 1];
+        }
+        Some(Cell {
+            level: self.level,
+            coord: CellCoord::unpack(self.coords[i]),
+            is_leaf: self.links[i] as usize <= i,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CellIter<'_> {}
+
 /// Default patch (block) side length: FLASH-style 8-cell blocks.
 pub const DEFAULT_PATCH_SHIFT: u32 = 3;
 
@@ -74,6 +185,14 @@ pub const DEFAULT_PATCH_SHIFT: u32 = 3;
 pub const DEFAULT_RANKS: u32 = 8;
 
 /// A complete refinement hierarchy.
+///
+/// The tree keeps what its decode learns and a curve walk reads, 16 bytes
+/// per cell plus 4 per leaf: each cell's packed coordinates
+/// ([`CellCoord::pack`]) and its entries in [`TreeLinks`], by storage
+/// index, and the storage index of every leaf. A cell's level is the level
+/// range its index falls in, and whether it is a leaf is read off its link
+/// ([`TreeLinks::is_leaf`]); [`AmrTree::cell`] and the [`Cells`] views
+/// put the three together into a [`Cell`].
 #[derive(Debug, Clone)]
 pub struct AmrTree {
     dim: Dim,
@@ -85,10 +204,10 @@ pub struct AmrTree {
     ranks: u32,
     /// `refined[l]` = sorted packed coords of refined cells at level `l`.
     refined: Vec<Vec<u64>>,
-    /// Every existing cell, in storage order (level-major, patch-major
-    /// within a level).
-    cells: Vec<Cell>,
-    /// Indices into `cells` of the leaves, in storage order.
+    /// Packed coordinates of every existing cell, in storage order
+    /// (level-major, patch-major within a level).
+    coords: Vec<u64>,
+    /// Storage indices of the leaves, in storage order.
     leaf_indices: Vec<u32>,
     /// See [`TreeLinks::slots`].
     slots: Vec<u32>,
@@ -96,6 +215,10 @@ pub struct AmrTree {
     links: Vec<u32>,
     /// First cell index of each level (length `max_level + 2`, sentinel last).
     level_starts: Vec<usize>,
+    /// `level_starts[1..=8]` as `u32`, `u32::MAX` past the deepest level:
+    /// the first eight level ends in one fixed array, which
+    /// [`AmrTree::level_of`] counts without a loop.
+    level_ends: [u32; 8],
 }
 
 impl AmrTree {
@@ -164,7 +287,7 @@ impl AmrTree {
         // scattered straight to its storage slots; the refined set is
         // validated against the generated cells as they pass.
         let (cell_count, refined_count) = planned_sizes(dim, base_cells, &refined);
-        let mut cells: Vec<Cell> = Vec::with_capacity(cell_count);
+        let mut coords: Vec<u64> = Vec::with_capacity(cell_count);
         let mut leaf_indices: Vec<u32> = Vec::with_capacity(cell_count - refined_count);
         let mut slots: Vec<u32> = Vec::with_capacity(cell_count);
         let mut links: Vec<u32> = Vec::with_capacity(cell_count);
@@ -175,7 +298,7 @@ impl AmrTree {
         let mut parent_tiles: Vec<u32> = Vec::new();
 
         for level in 0..=max_level {
-            let start = cells.len();
+            let start = coords.len();
             level_starts.push(start);
             let parents = level.checked_sub(1).map(|l| refined[l as usize].as_slice());
             let refined_here: &[u64] = refined.get(level as usize).map_or(&[], Vec::as_slice);
@@ -207,15 +330,11 @@ impl AmrTree {
             // Scatter the level: tile buckets laid out rank-major, cells in
             // generation order within a tile. A refined cell links to its
             // children, which the next level places right after this one,
-            // 2^d per parent in refined-set order.
+            // 2^d per parent in refined-set order; every other link stays 0
+            // until the leaf pass below numbers it.
             let mut next = tiles.bucket_starts(ranks);
             let first_child = (start + n) as u32;
-            let placeholder = Cell {
-                level,
-                coord: CellCoord::new(0, 0, 0),
-                is_leaf: true,
-            };
-            cells.resize(start + n, placeholder);
+            coords.resize(start + n, 0);
             links.resize(start + n, 0);
             slots.resize(start + n, 0);
             let mut next_parent_tiles = Vec::with_capacity(refined_here.len());
@@ -224,27 +343,28 @@ impl AmrTree {
                 let storage = start + *at as usize;
                 *at += 1;
                 slots[start + slot as usize] = storage as u32;
-                let refined = found.check(key);
-                if let Some(rank) = refined {
+                if let Some(rank) = found.check(key) {
                     links[storage] = first_child + (rank * nch) as u32;
                     next_parent_tiles.push(tile);
                 }
-                cells[storage] = Cell {
-                    level,
-                    coord: CellCoord::unpack(key),
-                    is_leaf: refined.is_none(),
-                };
+                coords[storage] = key;
             });
             found.finish()?;
-            for (storage, cell) in (start..).zip(&cells[start..]) {
-                if cell.is_leaf {
-                    links[storage] = leaf_indices.len() as u32;
+            // A refined cell's link already points past the level; a leaf's
+            // (0 so far) becomes its leaf index, which is at most its own.
+            for (storage, link) in (start..).zip(&mut links[start..]) {
+                if *link as usize <= storage {
+                    *link = leaf_indices.len() as u32;
                     leaf_indices.push(storage as u32);
                 }
             }
             parent_tiles = next_parent_tiles;
         }
-        level_starts.push(cells.len());
+        level_starts.push(coords.len());
+        let mut level_ends = [u32::MAX; 8];
+        for (end, &start) in level_ends.iter_mut().zip(&level_starts[1..]) {
+            *end = start as u32;
+        }
 
         Ok(Self {
             dim,
@@ -253,11 +373,12 @@ impl AmrTree {
             patch_shift,
             ranks,
             refined,
-            cells,
+            coords,
             leaf_indices,
             slots,
             links,
             level_starts,
+            level_ends,
         })
     }
 
@@ -298,16 +419,68 @@ impl AmrTree {
         [f(0), f(1), if self.dim == Dim::D2 { 1 } else { f(2) }]
     }
 
-    /// All existing cells, in storage order (level-major, (z,y,x) within).
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
+    /// All existing cells, in storage order (level-major, patch-major
+    /// within a level).
+    pub fn cells(&self) -> Cells<'_> {
+        Cells {
+            tree: self,
+            level: 0,
+            range: 0..self.coords.len(),
+        }
     }
 
     /// Cells of one level, in storage (patch-major) order.
-    pub fn level_cells(&self, l: u32) -> &[Cell] {
-        let s = self.level_starts[l as usize];
-        let e = self.level_starts[l as usize + 1];
-        &self.cells[s..e]
+    pub fn level_cells(&self, l: u32) -> Cells<'_> {
+        Cells {
+            tree: self,
+            level: l,
+            range: self.level_starts[l as usize]..self.level_starts[l as usize + 1],
+        }
+    }
+
+    /// The cell at storage index `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.cell_count()`.
+    #[inline]
+    pub fn cell(&self, i: usize) -> Cell {
+        self.cell_at(self.level_of(i), i)
+    }
+
+    /// The level of the cell at storage index `i` (`i <
+    /// self.cell_count()`).
+    #[inline]
+    pub fn level_of(&self, i: usize) -> u32 {
+        // The levels that end at or before `i`: a branch-free count over
+        // the fixed first eight ends (cheaper than a search, whose
+        // branches a random index defeats), then over the deeper starts
+        // only in a tree that deep.
+        let at = u32::try_from(i).unwrap_or(u32::MAX);
+        let level = self
+            .level_ends
+            .iter()
+            .map(|&e| u32::from(e <= at))
+            .sum::<u32>();
+        match level {
+            8 => 8 + self.level_starts[9..].iter().filter(|&&s| s <= i).count() as u32,
+            _ => level,
+        }
+    }
+
+    /// The cell at storage index `i`, known to lie on `level`.
+    #[inline]
+    fn cell_at(&self, level: u32, i: usize) -> Cell {
+        Cell {
+            level,
+            coord: CellCoord::unpack(self.coords[i]),
+            is_leaf: self.links[i] as usize <= i,
+        }
+    }
+
+    /// Packed coordinates ([`CellCoord::pack`]) of every cell, by storage
+    /// index.
+    pub fn packed_coords(&self) -> &[u64] {
+        &self.coords
     }
 
     /// Index into [`AmrTree::cells`] of the first cell of level `l`.
@@ -321,8 +494,16 @@ impl AmrTree {
     }
 
     /// Iterator over the leaves in storage order.
-    pub fn leaves(&self) -> impl Iterator<Item = &Cell> + '_ {
-        self.leaf_indices.iter().map(|&i| &self.cells[i as usize])
+    pub fn leaves(&self) -> impl Iterator<Item = Cell> + '_ {
+        // Leaves come in storage order, so their levels never decrease.
+        let mut level = 0;
+        self.leaf_indices.iter().map(move |&i| {
+            let i = i as usize;
+            while self.level_starts[level + 1] <= i {
+                level += 1;
+            }
+            self.cell_at(level as u32, i)
+        })
     }
 
     /// The tree as a depth-first walk reads it: every refined cell's
@@ -337,7 +518,7 @@ impl AmrTree {
 
     /// Number of existing cells (all levels).
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.coords.len()
     }
 
     /// Number of leaves.
@@ -796,6 +977,9 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, AmrError> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -854,9 +1038,9 @@ mod tests {
         // (0,1) of tile (0,0), not (8,0) as row-major would give.
         let t = AmrTree::uniform(Dim::D2, [16, 16, 1]).unwrap();
         assert_eq!(t.patch_size(), 8);
-        assert_eq!(t.cells()[8].coord, CellCoord::new(0, 1, 0));
+        assert_eq!(t.cell(8).coord, CellCoord::new(0, 1, 0));
         // The 65th cell starts the second tile.
-        assert_eq!(t.cells()[64].coord, CellCoord::new(8, 0, 0));
+        assert_eq!(t.cell(64).coord, CellCoord::new(8, 0, 0));
     }
 
     #[test]
@@ -866,11 +1050,11 @@ mod tests {
         // second emitted tile is tile #4 = (0,1), not (1,0).
         let t = AmrTree::from_refined_with_layout(Dim::D2, [32, 32, 1], vec![], 3, 4).unwrap();
         assert_eq!(t.ranks(), 4);
-        assert_eq!(t.cells()[0].coord, CellCoord::new(0, 0, 0));
-        assert_eq!(t.cells()[64].coord, CellCoord::new(0, 8, 0));
+        assert_eq!(t.cell(0).coord, CellCoord::new(0, 0, 0));
+        assert_eq!(t.cell(64).coord, CellCoord::new(0, 8, 0));
         // A single rank reduces to plain (z,y,x) tile order.
         let t1 = AmrTree::from_refined_with_layout(Dim::D2, [32, 32, 1], vec![], 3, 1).unwrap();
-        assert_eq!(t1.cells()[64].coord, CellCoord::new(8, 0, 0));
+        assert_eq!(t1.cell(64).coord, CellCoord::new(8, 0, 0));
         // Layout is part of the metadata and survives serialization.
         let t2 = AmrTree::from_structure_bytes(&t.structure_bytes()).unwrap();
         assert_eq!(t2.ranks(), 4);
@@ -882,7 +1066,7 @@ mod tests {
     #[test]
     fn patch_shift_zero_is_row_major() {
         let t = AmrTree::from_refined_with_patch(Dim::D2, [16, 16, 1], vec![], 0).unwrap();
-        assert_eq!(t.cells()[8].coord, CellCoord::new(8, 0, 0));
+        assert_eq!(t.cell(8).coord, CellCoord::new(8, 0, 0));
         assert_eq!(t.patch_size(), 1);
     }
 
@@ -907,11 +1091,11 @@ mod tests {
     fn anchors_and_bits() {
         let t = small_tree();
         assert_eq!(t.finest_bits(), 4); // 16-wide finest grid
-        let leaf0 = t.cells().first().unwrap();
-        assert_eq!(t.anchor(leaf0), CellCoord::new(0, 0, 0));
-        let l1 = &t.level_cells(1)[0];
+        let leaf0 = t.cell(0);
+        assert_eq!(t.anchor(&leaf0), CellCoord::new(0, 0, 0));
+        let l1 = t.level_cells(1).iter().next().unwrap();
         assert_eq!(
-            t.anchor(l1),
+            t.anchor(&l1),
             CellCoord::new(l1.coord.x << 1, l1.coord.y << 1, 0)
         );
     }
@@ -920,7 +1104,7 @@ mod tests {
     fn centers_are_inside_unit_domain() {
         let t = small_tree();
         for c in t.cells() {
-            let p = t.cell_center(c);
+            let p = t.cell_center(&c);
             assert!(p[0] > 0.0 && p[0] < 1.0);
             assert!(p[1] > 0.0 && p[1] < 1.0);
             assert_eq!(p[2], 0.0);
@@ -984,21 +1168,22 @@ mod tests {
             trees.push(t.unwrap());
         }
         for t in &trees {
-            let (cells, links) = (t.cells(), t.links());
+            let links = t.links();
             // Level 0 in (z,y,x) order.
             let [nx, ny, _] = t.base();
             for (i, &s) in links.slots[..t.level_cells(0).len()].iter().enumerate() {
-                let c = cells[s as usize].coord;
+                let c = t.cell(s as usize).coord;
                 assert_eq!(i, c.x as usize + nx * (c.y as usize + ny * c.z as usize));
             }
-            for (s, cell) in cells.iter().enumerate() {
+            for (s, cell) in t.cells().iter().enumerate() {
                 let link = links.links[s] as usize;
+                assert_eq!(links.is_leaf(s as u32), cell.is_leaf);
                 if cell.is_leaf {
                     assert_eq!(t.leaf_indices()[link] as usize, s);
                     continue;
                 }
                 for ch in 0..t.dim().children() {
-                    let child = &cells[links.slots[link + ch] as usize];
+                    let child = t.cell(links.slots[link + ch] as usize);
                     assert_eq!(
                         (child.level, child.coord),
                         (cell.level + 1, cell.coord.child(ch))

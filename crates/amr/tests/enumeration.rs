@@ -124,7 +124,11 @@ fn enumeration(tree: &AmrTree) -> Enumeration {
             }
         })
         .collect();
-    (tree.cells().to_vec(), tree.leaf_indices().to_vec(), starts)
+    (
+        tree.cells().iter().collect(),
+        tree.leaf_indices().to_vec(),
+        starts,
+    )
 }
 
 fn build(

@@ -20,8 +20,9 @@ fn bench_reorder(c: &mut Criterion) {
     }
     g.finish();
 
-    // Benchmark-scale meshes: the trees a `pack` or cold open rebuilds the
-    // recipe for (Chained = every cell carries a point).
+    // Benchmark-scale meshes: the trees a `pack` or cold open decodes and
+    // rebuilds the recipe for (Chained = every cell carries a point). The
+    // two stages of a cold open, each alone.
     for (name, big) in [
         (
             "blast2d",
@@ -32,13 +33,22 @@ fn bench_reorder(c: &mut Criterion) {
             datasets::cluster3d(StorageMode::AllCells, Scale::Standard),
         ),
     ] {
+        let cells = big.tree.cell_count() as u64;
         let mut g = c.benchmark_group(format!("recipe_build/standard_{name}"));
-        g.throughput(Throughput::Elements(big.tree.cell_count() as u64));
+        g.throughput(Throughput::Elements(cells));
         for policy in [OrderingPolicy::ZOrder, OrderingPolicy::Hilbert] {
             g.bench_function(policy.label(), |b| {
                 b.iter(|| RestoreRecipe::build(black_box(&big.tree), policy, GroupingMode::Chained))
             });
         }
+        g.finish();
+
+        let metadata = big.tree.structure_bytes();
+        let mut g = c.benchmark_group("metadata/tree_rebuild");
+        g.throughput(Throughput::Elements(cells));
+        g.bench_function(format!("standard_{name}"), |b| {
+            b.iter(|| zmesh_amr::AmrTree::from_structure_bytes(black_box(&metadata)).unwrap())
+        });
         g.finish();
     }
 

@@ -58,10 +58,10 @@ pub fn stream_locality(
     grouping: GroupingMode,
 ) -> StreamLocality {
     let recipe = RestoreRecipe::build(tree, policy, grouping);
-    let cell_of = |vpos: u32| -> &Cell {
+    let cell_of = |vpos: u32| -> Cell {
         match grouping {
-            GroupingMode::LeafOnly => &tree.cells()[tree.leaf_indices()[vpos as usize] as usize],
-            GroupingMode::Chained => &tree.cells()[vpos as usize],
+            GroupingMode::LeafOnly => tree.cell(tree.leaf_indices()[vpos as usize] as usize),
+            GroupingMode::Chained => tree.cell(vpos as usize),
         }
     };
     let perm = recipe.permutation();
@@ -78,7 +78,7 @@ pub fn stream_locality(
     let mut dist_sum = 0.0f64;
     let mut dist_max = 0.0f64;
     for w in perm.windows(2) {
-        let (a, b) = (cell_of(w[0]), cell_of(w[1]));
+        let (a, b) = (&cell_of(w[0]), &cell_of(w[1]));
         if touches(tree, a, b) {
             adjacent += 1;
         }

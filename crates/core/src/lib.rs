@@ -72,4 +72,4 @@ pub use crc::crc32;
 pub use error::ZmeshError;
 pub use linearize::{linearize, restore};
 pub use ordering::{GroupingMode, OrderingPolicy};
-pub use recipe::RestoreRecipe;
+pub use recipe::{RestoreRecipe, StreamKeys};

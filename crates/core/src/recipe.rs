@@ -22,12 +22,16 @@
 //!   chain's foot. Morton visits child 0 first, so there that is
 //!   pre-order; Hilbert may visit child 0 later.
 //!
-//! The curve index of each stream point falls out of the walk: the ranks
-//! taken on the way down, followed by the digits of the anchor's
-//! trailing zero bits. A writer plans its chunks from these keys.
+//! The walk reads the tree's links and nothing else: a cell is a leaf
+//! exactly when its link is at most its own storage index
+//! ([`zmesh_amr::TreeLinks::is_leaf`]), and the level and curve index of
+//! every stream point are known when it is emitted — the level from the
+//! depth, the curve index from the ranks taken on the way down followed by
+//! the digits of the anchor's trailing zero bits. A writer plans its
+//! chunks from these [`StreamKeys`].
 
 use crate::ordering::{GroupingMode, OrderingPolicy};
-use zmesh_amr::{AmrTree, Cell, TreeLinks, COORD_BITS};
+use zmesh_amr::{AmrTree, TreeLinks, COORD_BITS};
 use zmesh_sfc::StateTable;
 
 /// A permutation between storage order and stream (curve) order.
@@ -69,26 +73,34 @@ impl RestoreRecipe {
         Self::walk::<false>(tree, policy, grouping).0
     }
 
-    /// [`RestoreRecipe::build`], also handing back the curve key of every
-    /// stream point, in stream order (`None` under level order): the curve
-    /// index of the point's anchor. A writer plans its chunks from them
-    /// instead of keying every cell again; the recipe itself keeps no keys.
+    /// [`RestoreRecipe::build`], also handing back what the walk knows of
+    /// every stream point: its level and the curve key of its anchor. A
+    /// writer plans its chunks from them instead of looking every cell up
+    /// again; the recipe itself keeps neither.
     pub fn build_keyed(
         tree: &AmrTree,
         policy: OrderingPolicy,
         grouping: GroupingMode,
-    ) -> (Self, Option<Vec<u64>>) {
-        Self::walk::<true>(tree, policy, grouping)
+    ) -> (Self, StreamKeys) {
+        let (recipe, keys) = Self::walk::<true>(tree, policy, grouping);
+        (recipe, keys.expect("a keyed walk records its keys"))
     }
 
     fn walk<const KEYS: bool>(
         tree: &AmrTree,
         policy: OrderingPolicy,
         grouping: GroupingMode,
-    ) -> (Self, Option<Vec<u64>>) {
+    ) -> (Self, Option<StreamKeys>) {
         let n = stream_len(tree, grouping);
         let (perm, keys) = match policy.curve() {
-            None => ((0..n as u32).collect(), None),
+            None => {
+                let levels = KEYS.then(|| level_order_levels(tree, grouping));
+                let keys = levels.map(|levels| StreamKeys {
+                    curve: None,
+                    levels,
+                });
+                ((0..n as u32).collect(), keys)
+            }
             Some(curve) => {
                 let dims = tree.dim().rank() as u32;
                 let states = curve
@@ -98,19 +110,23 @@ impl RestoreRecipe {
                     states,
                     dims,
                     base: tree.base().map(|b| b as u32),
-                    cells: tree.cells(),
                     links: tree.links(),
                     chained: grouping == GroupingMode::Chained,
                     max_level: tree.max_level(),
                     path: [0; COORD_BITS as usize + 1],
                     perm: Vec::with_capacity(n),
                     keys: Vec::with_capacity(if KEYS { n } else { 0 }),
+                    levels: Vec::with_capacity(if KEYS { n } else { 0 }),
                 };
                 // The base grid's cells sit this many levels below the
                 // root of the curve's `2^finest_bits` grid.
                 walk.above_base(tree.finest_bits() - tree.max_level(), [0; 3], 0, 0);
                 debug_assert_eq!(walk.perm.len(), n);
-                (walk.perm, KEYS.then_some(walk.keys))
+                let keys = KEYS.then_some(StreamKeys {
+                    curve: Some(walk.keys),
+                    levels: walk.levels,
+                });
+                (walk.perm, keys)
             }
         };
         let recipe = Self {
@@ -170,6 +186,26 @@ impl RestoreRecipe {
     }
 }
 
+/// What a keyed walk ([`RestoreRecipe::build_keyed`]) learns about each
+/// stream point besides its storage index, in stream order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamKeys {
+    /// The curve index of each point's anchor on the finest grid; `None`
+    /// under level order, where no curve backs the stream.
+    pub curve: Option<Vec<u64>>,
+    /// The refinement level of each point.
+    pub levels: Vec<u8>,
+}
+
+/// The level of every stream point under level order, where the stream is
+/// storage order.
+fn level_order_levels(tree: &AmrTree, grouping: GroupingMode) -> Vec<u8> {
+    match grouping {
+        GroupingMode::LeafOnly => tree.leaves().map(|c| c.level as u8).collect(),
+        GroupingMode::Chained => tree.cells().iter().map(|c| c.level as u8).collect(),
+    }
+}
+
 /// Stream points of `tree` under `grouping`: every cell for Chained, the
 /// leaves for LeafOnly.
 fn stream_len(tree: &AmrTree, grouping: GroupingMode) -> usize {
@@ -180,12 +216,12 @@ fn stream_len(tree: &AmrTree, grouping: GroupingMode) -> usize {
 }
 
 /// The depth-first curve-order walk behind [`RestoreRecipe::build`], with
-/// `KEYS` selecting whether it records each stream point's curve key.
+/// `KEYS` selecting whether it records each stream point's curve key and
+/// level.
 struct CurveWalk<'a, const KEYS: bool> {
     states: &'static StateTable,
     dims: u32,
     base: [u32; 3],
-    cells: &'a [Cell],
     links: TreeLinks<'a>,
     chained: bool,
     max_level: u32,
@@ -194,6 +230,7 @@ struct CurveWalk<'a, const KEYS: bool> {
     path: [u32; COORD_BITS as usize + 1],
     perm: Vec<u32>,
     keys: Vec<u64>,
+    levels: Vec<u8>,
 }
 
 impl<const KEYS: bool> CurveWalk<'_, KEYS> {
@@ -221,7 +258,7 @@ impl<const KEYS: bool> CurveWalk<'_, KEYS> {
     /// anchor on the path.
     #[inline]
     fn enter(&mut self, level: u32, cell: u32, state: u8, index: u64, top: u32) {
-        if self.cells[cell as usize].is_leaf {
+        if self.links.is_leaf(cell) {
             self.emit(level, cell, state, index, top);
         } else {
             self.refined(level, cell, state, index, top);
@@ -254,19 +291,20 @@ impl<const KEYS: bool> CurveWalk<'_, KEYS> {
         };
         if self.chained {
             for l in top..level {
-                self.push(self.path[l as usize], key);
+                self.push(self.path[l as usize], key, l);
             }
-            self.push(leaf, key);
+            self.push(leaf, key, level);
         } else {
-            self.push(self.links.links[leaf as usize], key);
+            self.push(self.links.links[leaf as usize], key, level);
         }
     }
 
     #[inline]
-    fn push(&mut self, point: u32, key: u64) {
+    fn push(&mut self, point: u32, key: u64, level: u32) {
         self.perm.push(point);
         if KEYS {
             self.keys.push(key);
+            self.levels.push(level as u8);
         }
     }
 }
@@ -336,12 +374,11 @@ mod tests {
         let tree = sample_tree();
         for policy in [OrderingPolicy::ZOrder, OrderingPolicy::Hilbert] {
             let r = RestoreRecipe::build(&tree, policy, GroupingMode::Chained);
-            let cells = tree.cells();
             // Walk the stream; whenever consecutive entries share an anchor,
             // the earlier one must be the coarser.
             for w in r.permutation().windows(2) {
-                let (a, b) = (&cells[w[0] as usize], &cells[w[1] as usize]);
-                if tree.anchor(a) == tree.anchor(b) {
+                let (a, b) = (tree.cell(w[0] as usize), tree.cell(w[1] as usize));
+                if tree.anchor(&a) == tree.anchor(&b) {
                     assert!(a.level < b.level, "{policy:?}: fine before coarse");
                 }
             }
@@ -351,12 +388,12 @@ mod tests {
                 .permutation()
                 .iter()
                 .position(|&i| {
-                    let c = &cells[i as usize];
+                    let c = tree.cell(i as usize);
                     c.level == 0 && c.coord == CellCoord::new(0, 0, 0)
                 })
                 .unwrap();
-            let next = &cells[r.permutation()[pos_root + 1] as usize];
-            assert_eq!(tree.anchor(next), CellCoord::new(0, 0, 0));
+            let next = tree.cell(r.permutation()[pos_root + 1] as usize);
+            assert_eq!(tree.anchor(&next), CellCoord::new(0, 0, 0));
             assert_eq!(next.level, 1);
         }
     }
@@ -380,7 +417,7 @@ mod tests {
             .permutation()
             .iter()
             .map(|&i| {
-                let a = tree.anchor(leaves[i as usize]);
+                let a = tree.anchor(&leaves[i as usize]);
                 a.x < 16 && a.y < 16
             })
             .collect();

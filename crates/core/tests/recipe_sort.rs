@@ -34,9 +34,14 @@ fn reference(tree: &AmrTree, policy: OrderingPolicy, grouping: GroupingMode) -> 
             GroupingMode::LeafOnly => tree
                 .leaf_indices()
                 .par_iter()
-                .map(|&i| key(&tree.cells()[i as usize]))
+                .map(|&i| key(&tree.cell(i as usize)))
                 .collect(),
-            GroupingMode::Chained => tree.cells().par_iter().map(key).collect(),
+            GroupingMode::Chained => tree
+                .packed_coords()
+                .par_iter()
+                .enumerate()
+                .map(|(i, _)| key(&tree.cell(i)))
+                .collect(),
         };
         perm.par_sort_unstable_by_key(|&i| keys[i as usize]);
     }
@@ -126,7 +131,6 @@ proptest! {
 fn presets_match_reference() {
     for ds in datasets::all(StorageMode::AllCells, Scale::Small) {
         let tree = &ds.tree;
-        let cells = tree.cells();
         for policy in OrderingPolicy::ALL {
             for grouping in [GroupingMode::LeafOnly, GroupingMode::Chained] {
                 let case = format!("{} {policy:?} {grouping:?}", ds.name);
@@ -138,22 +142,28 @@ fn presets_match_reference() {
                     recipe,
                     "{case}"
                 );
-                // The walk's keys are the curve index of each stream
-                // point's anchor.
+                // The walk's levels are each stream point's level, its keys
+                // the curve index of each point's anchor.
+                let cell_of = |storage: u32| match grouping {
+                    GroupingMode::LeafOnly => {
+                        tree.cell(tree.leaf_indices()[storage as usize] as usize)
+                    }
+                    GroupingMode::Chained => tree.cell(storage as usize),
+                };
+                let levels: Vec<u8> = recipe
+                    .permutation()
+                    .iter()
+                    .map(|&s| cell_of(s).level as u8)
+                    .collect();
+                assert_eq!(keys.levels, levels, "{case}");
                 let Some(curve) = policy.curve() else {
-                    assert!(keys.is_none(), "{case}");
+                    assert!(keys.curve.is_none(), "{case}");
                     continue;
                 };
                 let bits = tree.finest_bits();
-                let keys = keys.expect("curve policies hand out keys");
+                let keys = keys.curve.expect("curve policies hand out keys");
                 for (&key, &storage) in keys.iter().zip(recipe.permutation()) {
-                    let cell = match grouping {
-                        GroupingMode::LeafOnly => {
-                            &cells[tree.leaf_indices()[storage as usize] as usize]
-                        }
-                        GroupingMode::Chained => &cells[storage as usize],
-                    };
-                    let a = tree.anchor(cell);
+                    let a = tree.anchor(&cell_of(storage));
                     let (x, y, z) = (u64::from(a.x), u64::from(a.y), u64::from(a.z));
                     let want = match tree.dim() {
                         Dim::D2 => curve.index_2d(x, y, bits),

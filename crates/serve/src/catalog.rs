@@ -82,9 +82,15 @@ impl ServeSource {
     /// Injection counters, when this source is fault-wrapped.
     #[cfg(feature = "testing")]
     pub fn fault_stats(&self) -> Option<FaultStats> {
+        self.fault().map(FaultSource::stats)
+    }
+
+    /// The fault wrapper, when this source has one.
+    #[cfg(feature = "testing")]
+    pub fn fault(&self) -> Option<&FaultSource<FileSource>> {
         match self {
             ServeSource::Plain(_) => None,
-            ServeSource::Fault(f) => Some(f.stats()),
+            ServeSource::Fault(f) => Some(f),
         }
     }
 }

@@ -37,6 +37,9 @@ pub struct ServeMetrics {
     pub salvaged_queries: AtomicU64,
     /// Background re-open probes attempted against quarantined stores.
     pub probes: AtomicU64,
+    /// Requests that panicked; each was answered `500` and its worker
+    /// went on serving.
+    pub panics: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -70,7 +73,7 @@ impl ServeMetrics {
              \"responses_client_error\":{},\"responses_server_error\":{},\
              \"rejected_busy\":{},\"timeouts\":{},\"keepalive_reuses\":{},\
              \"batch_requests\":{},\"queries\":{},\"query_cells\":{},\"bytes_out\":{},\
-             \"salvaged_queries\":{},\"probes\":{}}}",
+             \"salvaged_queries\":{},\"probes\":{},\"panics\":{}}}",
             get(&self.connections),
             get(&self.requests),
             get(&self.responses_ok),
@@ -85,6 +88,7 @@ impl ServeMetrics {
             get(&self.bytes_out),
             get(&self.salvaged_queries),
             get(&self.probes),
+            get(&self.panics),
         )
     }
 }

@@ -376,7 +376,7 @@ fn handle_connection(
                 if served > 1 {
                     ServeMetrics::bump(&metrics.keepalive_reuses);
                 }
-                let resp = route(&req, catalog, metrics);
+                let resp = route_isolated(&req, catalog, metrics);
                 let keep = req.keep_alive() && served < max_requests && !draining();
                 (resp, keep)
             }
@@ -387,6 +387,25 @@ fn handle_connection(
             return;
         }
     }
+}
+
+/// [`route`] with the request's panics contained: a panicking request is
+/// answered `500` and counted in `panics`, and its worker lives on to
+/// serve the next one. Nothing a request holds outlives it — caches
+/// recover from poisoned locks and an abandoned chunk decode releases its
+/// waiters — so unwinding past it leaves shared state consistent.
+fn route_isolated(req: &Request, catalog: &Catalog, metrics: &ServeMetrics) -> Response {
+    let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        route(req, catalog, metrics)
+    }));
+    routed.unwrap_or_else(|_| {
+        ServeMetrics::bump(&metrics.panics);
+        Response::error(
+            500,
+            "internal",
+            "the request panicked; the server is still up",
+        )
+    })
 }
 
 /// Dispatches a parsed request to its endpoint.

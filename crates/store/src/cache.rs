@@ -1,18 +1,21 @@
-//! The recipe cache: reuse one restore recipe across fields, timesteps,
-//! and readers that share a mesh.
+//! The recipe cache: reuse one decoded tree and restore recipe across
+//! fields, timesteps, and readers that share a mesh.
 //!
 //! zMesh's recipe is a pure function of `(tree structure, policy,
-//! grouping)`. Building it costs a walk over every cell; cloning
-//! an `Arc` costs nothing. Multi-field and time-series workloads hit the
-//! same tree structure over and over, so the cache keys recipes by a hash
-//! of the serialized structure and hands out shared references — the
-//! paper's "recipe amortization" made explicit across pipeline calls.
+//! grouping)`, and the tree a pure function of the structure bytes.
+//! Decoding the tree and building the recipe each cost a pass over every
+//! cell; cloning an `Arc` costs nothing. Multi-field and time-series
+//! workloads hit the same tree structure over and over, so the cache keys
+//! tree and recipe together by a hash of the serialized structure and hands
+//! out shared references — the paper's "recipe amortization" made explicit
+//! across pipeline calls. A reader looks the structure up before it
+//! decodes anything, so a warm open decodes no tree and builds no recipe.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe};
-use zmesh_amr::AmrTree;
+use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe, StreamKeys};
+use zmesh_amr::{AmrError, AmrTree};
 
 /// FNV-1a over the serialized tree structure — stable, dependency-free,
 /// and 64 bits is plenty for a cache key *because hits are verified*: the
@@ -47,12 +50,23 @@ fn cache_key(structure: &[u8], policy: OrderingPolicy, grouping: GroupingMode) -
     }
 }
 
-/// A cached recipe plus the exact structure bytes it was built from (kept
-/// so hits can be verified instead of trusting the 64-bit hash).
+/// A cached tree and recipe plus the exact structure bytes they were
+/// built from (kept so hits can be verified instead of trusting the 64-bit
+/// hash).
 #[derive(Debug, Clone)]
 struct Entry {
     structure: Arc<[u8]>,
+    tree: Arc<AmrTree>,
     recipe: Arc<RestoreRecipe>,
+}
+
+/// What a lookup hands back: the entry's tree and recipe, whether it was a
+/// hit, and on a miss the build's [`StreamKeys`].
+struct Lookup {
+    tree: Arc<AmrTree>,
+    recipe: Arc<RestoreRecipe>,
+    hit: bool,
+    keys: Option<StreamKeys>,
 }
 
 /// Hit/miss counters of a [`RecipeCache`].
@@ -60,7 +74,8 @@ struct Entry {
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to build a recipe.
+    /// Lookups that had to build a recipe (and, for a reader, decode the
+    /// tree).
     pub misses: u64,
     /// Lookups whose key matched but whose structure bytes did not (a
     /// 64-bit hash collision); counted as misses too, since the recipe was
@@ -77,8 +92,8 @@ pub struct CacheStats {
 /// Cached recipes plus their FIFO insertion order.
 type CacheMap = (HashMap<Key, Entry>, Vec<Key>);
 
-/// A bounded, thread-safe cache of restore recipes keyed by tree
-/// structure, ordering policy, and grouping mode.
+/// A bounded, thread-safe cache of decoded trees and their restore
+/// recipes, keyed by tree structure, ordering policy, and grouping mode.
 #[derive(Debug)]
 pub struct RecipeCache {
     map: Mutex<CacheMap>,
@@ -149,56 +164,89 @@ impl RecipeCache {
     /// counts as a miss (plus a collision in [`CacheStats`]).
     pub fn get_or_build(
         &self,
-        tree: &AmrTree,
+        tree: &Arc<AmrTree>,
         structure: &[u8],
         policy: OrderingPolicy,
         grouping: GroupingMode,
     ) -> (Arc<RestoreRecipe>, bool) {
-        let (recipe, hit, _) = self.lookup(cache_key(structure, policy, grouping), tree, structure);
-        (recipe, hit)
+        let found = self.lookup_with(cache_key(structure, policy, grouping), structure, tree);
+        (found.recipe, found.hit)
     }
 
     /// [`RecipeCache::get_or_build`] for a writer: on a miss it also hands
-    /// back the stream points' curve keys from the build's walk
+    /// back what the build's walk knows of every stream point
     /// ([`RestoreRecipe::build_keyed`]), so the chunk plan need not walk
-    /// the tree again. `None` on a hit and under level order.
+    /// the tree again. `None` on a hit.
     pub(crate) fn get_or_build_with_keys(
         &self,
-        tree: &AmrTree,
+        tree: &Arc<AmrTree>,
         structure: &[u8],
         policy: OrderingPolicy,
         grouping: GroupingMode,
-    ) -> (Arc<RestoreRecipe>, bool, Option<Vec<u64>>) {
-        self.lookup(cache_key(structure, policy, grouping), tree, structure)
+    ) -> (Arc<RestoreRecipe>, bool, Option<StreamKeys>) {
+        let found = self.lookup_with(cache_key(structure, policy, grouping), structure, tree);
+        (found.recipe, found.hit, found.keys)
     }
 
-    /// The lookup behind both entry points, with the key precomputed (so
+    /// The tree and recipe of `structure` for a reader, decoding the tree
+    /// ([`AmrTree::from_structure_bytes`]) and building the recipe only on
+    /// a miss. A hit hands out the tree the entry was built over, so a
+    /// warm open decodes nothing.
+    pub(crate) fn get_or_decode(
+        &self,
+        structure: &[u8],
+        policy: OrderingPolicy,
+        grouping: GroupingMode,
+    ) -> Result<(Arc<AmrTree>, Arc<RestoreRecipe>, bool), AmrError> {
+        let key = cache_key(structure, policy, grouping);
+        let decode = || AmrTree::from_structure_bytes(structure).map(Arc::new);
+        let found = self.lookup(key, structure, decode)?;
+        Ok((found.tree, found.recipe, found.hit))
+    }
+
+    /// [`RecipeCache::lookup`] over a tree the caller already holds.
+    fn lookup_with(&self, key: Key, structure: &[u8], tree: &Arc<AmrTree>) -> Lookup {
+        let given = || Ok::<_, std::convert::Infallible>(Arc::clone(tree));
+        match self.lookup(key, structure, given) {
+            Ok(found) => found,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The lookup behind every entry point, with the key precomputed (so
     /// tests can force a key collision without searching for real FNV
-    /// collisions).
-    fn lookup(
+    /// collisions) and the tree obtained from `tree` only on a miss.
+    fn lookup<E>(
         &self,
         key: Key,
-        tree: &AmrTree,
         structure: &[u8],
-    ) -> (Arc<RestoreRecipe>, bool, Option<Vec<u64>>) {
+        tree: impl FnOnce() -> Result<Arc<AmrTree>, E>,
+    ) -> Result<Lookup, E> {
         let mut collided = false;
         if let Some(entry) = self.lock_map().0.get(&key) {
             if entry.structure[..] == *structure {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (Arc::clone(&entry.recipe), true, None);
+                return Ok(Lookup {
+                    tree: Arc::clone(&entry.tree),
+                    recipe: Arc::clone(&entry.recipe),
+                    hit: true,
+                    keys: None,
+                });
             }
             // Same 64-bit hash, same length, different bytes: a real
             // collision. Fall through and rebuild for the caller's tree.
             collided = true;
             self.collisions.fetch_add(1, Ordering::Relaxed);
         }
-        // Build outside the lock: the build walks every cell, the cost
-        // this cache exists to amortize.
-        let (recipe, keys) = RestoreRecipe::build_keyed(tree, key.policy, key.grouping);
+        // Decode and build outside the lock: each walks every cell, the
+        // cost this cache exists to amortize.
+        let tree = tree()?;
+        let (recipe, keys) = RestoreRecipe::build_keyed(&tree, key.policy, key.grouping);
         let recipe = Arc::new(recipe);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Entry {
             structure: structure.into(),
+            tree: Arc::clone(&tree),
             recipe: Arc::clone(&recipe),
         };
         let mut guard = self.lock_map();
@@ -212,7 +260,12 @@ impl RecipeCache {
                 order.push(key);
             }
         }
-        (recipe, false, keys)
+        Ok(Lookup {
+            tree,
+            recipe,
+            hit: false,
+            keys: Some(keys),
+        })
     }
 
     /// Current hit/miss counters.
@@ -239,8 +292,8 @@ mod tests {
     use super::*;
     use zmesh_amr::Dim;
 
-    fn tree(side: usize) -> AmrTree {
-        AmrTree::uniform(Dim::D2, [side, side, 1]).unwrap()
+    fn tree(side: usize) -> Arc<AmrTree> {
+        Arc::new(AmrTree::uniform(Dim::D2, [side, side, 1]).unwrap())
     }
 
     #[test]
@@ -275,12 +328,36 @@ mod tests {
         let (policy, grouping) = (OrderingPolicy::Hilbert, GroupingMode::LeafOnly);
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, policy, grouping);
         assert!(!hit);
-        assert_eq!(keys, RestoreRecipe::build_keyed(&t, policy, grouping).1);
+        assert_eq!(
+            keys,
+            Some(RestoreRecipe::build_keyed(&t, policy, grouping).1)
+        );
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, policy, grouping);
         assert!(hit && keys.is_none());
         let level = OrderingPolicy::LevelOrder;
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, level, grouping);
-        assert!(!hit && keys.is_none());
+        assert!(!hit && keys.is_some_and(|k| k.curve.is_none()));
+    }
+
+    #[test]
+    fn a_warm_decode_shares_the_first_tree() {
+        let cache = RecipeCache::new();
+        let t = tree(8);
+        let s = t.structure_bytes();
+        let (policy, grouping) = (OrderingPolicy::Hilbert, GroupingMode::Chained);
+        let (cold, recipe, hit) = cache.get_or_decode(&s, policy, grouping).unwrap();
+        assert!(!hit);
+        assert_eq!(cold.cells(), t.cells());
+        let (warm, again, hit) = cache.get_or_decode(&s, policy, grouping).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&cold, &warm) && Arc::ptr_eq(&recipe, &again));
+        // A writer's lookup over its own tree is served the same recipe.
+        let (from_writer, hit) = cache.get_or_build(&t, &s, policy, grouping);
+        assert!(hit && Arc::ptr_eq(&from_writer, &recipe));
+        // Structure bytes that do not decode cache nothing.
+        let bad = &s[..s.len() - 1];
+        assert!(cache.get_or_decode(bad, policy, grouping).is_err());
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
@@ -313,8 +390,9 @@ mod tests {
             policy: OrderingPolicy::Hilbert,
             grouping: GroupingMode::LeafOnly,
         };
-        let (a, hit_a, _) = cache.lookup(forged, &t8, &s8);
-        let (b, hit_b, _) = cache.lookup(forged, &t4, &s4);
+        let a = cache.lookup_with(forged, &s8, &t8);
+        let b = cache.lookup_with(forged, &s4, &t4);
+        let (hit_a, hit_b, a, b) = (a.hit, b.hit, a.recipe, b.recipe);
         assert!(!hit_a);
         assert!(!hit_b, "collision must not be reported as a hit");
         assert_eq!(a.len(), t8.leaf_count());
@@ -327,8 +405,8 @@ mod tests {
             "colliding entry is replaced, not duplicated"
         );
         // The replacement now serves t4 as a verified hit.
-        let (_, hit_c, _) = cache.lookup(forged, &t4, &s4);
-        assert!(hit_c);
+        let c = cache.lookup_with(forged, &s4, &t4);
+        assert!(c.hit && Arc::ptr_eq(&c.tree, &t4));
     }
 
     #[test]

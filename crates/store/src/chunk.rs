@@ -9,8 +9,8 @@
 //! decide which chunks to decode.
 
 use crate::format::{put_u32, put_u64, Cursor, StoreError};
-use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe};
-use zmesh_amr::{AmrTree, Cell};
+use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe, StreamKeys};
+use zmesh_amr::{AmrTree, CellCoord};
 
 /// Serialized size of one [`ChunkMeta`].
 pub const CHUNK_META_BYTES: usize = 64;
@@ -135,8 +135,9 @@ impl ChunkPlan {
 
 /// Frames `recipe`'s stream into `chunk_values`-sized chunks and computes
 /// each chunk's geometric coverage over `tree`. `recipe` must be the
-/// recipe of `(tree, policy, grouping)`: the stream points' curve keys come
-/// from walking the tree again ([`RestoreRecipe::build_keyed`]).
+/// recipe of `(tree, policy, grouping)`: the stream points' levels and
+/// curve keys come from walking the tree again
+/// ([`RestoreRecipe::build_keyed`]).
 pub fn plan_chunks(
     tree: &AmrTree,
     recipe: &RestoreRecipe,
@@ -145,23 +146,18 @@ pub fn plan_chunks(
     chunk_values: usize,
 ) -> ChunkPlan {
     let (_, keys) = RestoreRecipe::build_keyed(tree, policy, grouping);
-    plan_keyed(
-        tree,
-        recipe.permutation(),
-        keys.as_deref(),
-        grouping,
-        chunk_values,
-    )
+    plan_keyed(tree, recipe.permutation(), &keys, grouping, chunk_values)
 }
 
-/// [`plan_chunks`] from the stream points' curve keys, in stream order
-/// (`None` under level order): chunk `i` covers stream positions
-/// `perm[stream_range(i)]`, and a point keyed `k` covers the curve interval
-/// of its cell's dyadic block.
+/// [`plan_chunks`] from what the walk knows of each stream point, in
+/// stream order: chunk `i` covers stream positions `perm[stream_range(i)]`,
+/// and a point of level `l` keyed `k` covers the curve interval of its
+/// cell's dyadic block. Only the packed coordinates are gathered through
+/// `perm`.
 pub(crate) fn plan_keyed(
     tree: &AmrTree,
     perm: &[u32],
-    keys: Option<&[u64]>,
+    keys: &StreamKeys,
     grouping: GroupingMode,
     chunk_values: usize,
 ) -> ChunkPlan {
@@ -171,14 +167,13 @@ pub(crate) fn plan_keyed(
     let n = perm.len();
     let rank = tree.dim().rank();
     let max_level = tree.max_level();
-    let cells = tree.cells();
+    let coords = tree.packed_coords();
     let leaf_indices = tree.leaf_indices();
-    let cell_of = |storage: u32| -> &Cell {
-        match grouping {
-            GroupingMode::LeafOnly => &cells[leaf_indices[storage as usize] as usize],
-            GroupingMode::Chained => &cells[storage as usize],
-        }
+    let coord_of = |storage: u32| match grouping {
+        GroupingMode::LeafOnly => coords[leaf_indices[storage as usize] as usize],
+        GroupingMode::Chained => coords[storage as usize],
     };
+    let curve = keys.curve.as_deref();
 
     let metas: Vec<ChunkMeta> = perm
         .par_chunks(chunk_values)
@@ -196,17 +191,17 @@ pub(crate) fn plan_keyed(
             };
             let first = i * chunk_values;
             for (pos, &storage) in (first..).zip(chunk) {
-                let cell = cell_of(storage);
-                let shift = max_level - cell.level;
-                let anchor = cell.coord.anchor(shift);
+                let level = u32::from(keys.levels[pos]);
+                let shift = max_level - level;
+                let anchor = CellCoord::unpack(coord_of(storage)).anchor(shift);
                 let side = 1u32 << shift;
                 let a = [anchor.x, anchor.y, anchor.z];
                 for (axis, &lo) in a.iter().enumerate().take(rank) {
                     meta.bbox_lo[axis] = meta.bbox_lo[axis].min(lo);
                     meta.bbox_hi[axis] = meta.bbox_hi[axis].max(lo + side - 1);
                 }
-                meta.level_mask |= 1 << cell.level;
-                if let Some(keys) = keys {
+                meta.level_mask |= 1 << level;
+                if let Some(keys) = curve {
                     // A cell covers its whole (aligned, contiguous) dyadic
                     // block of 2^(d·shift) finest cells.
                     let idx = keys[pos];
@@ -215,7 +210,7 @@ pub(crate) fn plan_keyed(
                     meta.curve_hi = meta.curve_hi.max(idx | (block - 1));
                 }
             }
-            if keys.is_none() {
+            if curve.is_none() {
                 meta.curve_lo = 0;
                 meta.curve_hi = u64::MAX;
             }
@@ -253,13 +248,10 @@ mod tests {
         let bits = tree.finest_bits();
         let dim = tree.dim();
         let curve = policy.curve();
-        let cells = tree.cells();
         let leaf_indices = tree.leaf_indices();
-        let cell_of = |storage: u32| -> &Cell {
-            match grouping {
-                GroupingMode::LeafOnly => &cells[leaf_indices[storage as usize] as usize],
-                GroupingMode::Chained => &cells[storage as usize],
-            }
+        let cell_of = |storage: u32| match grouping {
+            GroupingMode::LeafOnly => tree.cell(leaf_indices[storage as usize] as usize),
+            GroupingMode::Chained => tree.cell(storage as usize),
         };
         recipe
             .permutation()
@@ -278,7 +270,7 @@ mod tests {
                 for &storage in chunk {
                     let cell = cell_of(storage);
                     let shift = tree.max_level() - cell.level;
-                    let anchor = tree.anchor(cell);
+                    let anchor = tree.anchor(&cell);
                     let side = 1u32 << shift;
                     let a = [anchor.x, anchor.y, anchor.z];
                     for (axis, &lo) in a.iter().enumerate().take(dim.rank()) {
@@ -320,8 +312,7 @@ mod tests {
                         let want =
                             plan_reference(&ds.tree, &recipe, policy, grouping, chunk_values);
                         let perm = recipe.permutation();
-                        let from_build =
-                            plan_keyed(&ds.tree, perm, keys.as_deref(), grouping, chunk_values);
+                        let from_build = plan_keyed(&ds.tree, perm, &keys, grouping, chunk_values);
                         let recomputed =
                             plan_chunks(&ds.tree, &recipe, policy, grouping, chunk_values);
                         let case = format!("{} {grouping:?} {policy:?} {chunk_values}", ds.name);

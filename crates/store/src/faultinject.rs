@@ -343,6 +343,8 @@ pub struct FaultSource<S: ByteSource> {
     spec: FaultSpec,
     rng: Mutex<Lcg>,
     consecutive: AtomicU32,
+    /// Reads left to answer with a panic ([`FaultSource::panic_next`]).
+    panics: AtomicU32,
     transient: AtomicU64,
     short_reads: AtomicU64,
     corrupted: AtomicU64,
@@ -358,6 +360,7 @@ impl<S: ByteSource> FaultSource<S> {
             spec,
             rng,
             consecutive: AtomicU32::new(0),
+            panics: AtomicU32::new(0),
             transient: AtomicU64::new(0),
             short_reads: AtomicU64::new(0),
             corrupted: AtomicU64::new(0),
@@ -373,6 +376,13 @@ impl<S: ByteSource> FaultSource<S> {
             corrupted_reads: self.corrupted.load(Ordering::Relaxed),
             delayed: self.delayed.load(Ordering::Relaxed),
         }
+    }
+
+    /// Makes the next `reads` calls to `read_at` panic — a bug in the read
+    /// path, for testing that a caller contains it. Armed after an open,
+    /// it hits the reads of the queries that follow.
+    pub fn panic_next(&self, reads: u32) {
+        self.panics.store(reads, Ordering::SeqCst);
     }
 
     /// The plan this source injects.
@@ -392,6 +402,12 @@ impl<S: ByteSource> ByteSource for FaultSource<S> {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
+        let armed = self
+            .panics
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if armed.is_ok() {
+            panic!("injected panic reading {} bytes at {offset}", buf.len());
+        }
         if !self.spec.latency.is_zero() {
             std::thread::sleep(self.spec.latency);
             self.delayed.fetch_add(1, Ordering::Relaxed);

@@ -20,7 +20,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use zmesh::{codec_for, GroupingMode, RestoreRecipe};
-use zmesh_amr::{AmrField, AmrTree, Cell, Dim};
+use zmesh_amr::{AmrField, AmrTree, CellCoord, Dim};
 use zmesh_sfc::{bbox_meets_interval_2d, bbox_meets_interval_3d};
 
 /// The value salvage reads substitute for cells that could not be
@@ -617,15 +617,20 @@ impl<S: ByteSource> StoreReader<S> {
         if AmrTree::structure_base_cells(&header.structure)? > capacity {
             return Err(StoreError::Corrupt("base grid exceeds stored values"));
         }
-        let tree = Arc::new(AmrTree::from_structure_bytes(&header.structure)?);
+        // A shared cache that has seen this structure hands back its tree
+        // and recipe, so a warm open decodes nothing.
         let grouping = header.grouping();
-        let recipe = match cache {
+        let (tree, recipe) = match cache {
             Some(cache) => {
-                cache
-                    .get_or_build(&tree, &header.structure, header.policy, grouping)
-                    .0
+                let (tree, recipe, _) =
+                    cache.get_or_decode(&header.structure, header.policy, grouping)?;
+                (tree, recipe)
             }
-            None => Arc::new(RestoreRecipe::build(&tree, header.policy, grouping)),
+            None => {
+                let tree = Arc::new(AmrTree::from_structure_bytes(&header.structure)?);
+                let recipe = Arc::new(RestoreRecipe::build(&tree, header.policy, grouping));
+                (tree, recipe)
+            }
         };
         let expected = match grouping {
             GroupingMode::LeafOnly => tree.leaf_count(),
@@ -791,16 +796,6 @@ impl<S: ByteSource> StoreReader<S> {
             .into_iter()
             .find(|&(c, _)| c == i)?;
         self.decode_verified(i, &rebuilt).ok()
-    }
-
-    /// The cell behind a storage index under the store's grouping.
-    fn cell(&self, storage: u32) -> &Cell {
-        match self.header.grouping() {
-            GroupingMode::LeafOnly => {
-                &self.tree.cells()[self.tree.leaf_indices()[storage as usize] as usize]
-            }
-            GroupingMode::Chained => &self.tree.cells()[storage as usize],
-        }
     }
 
     /// Decodes chunk `i` from payload bytes that already passed the span
@@ -1116,18 +1111,39 @@ impl<S: ByteSource> StoreReader<S> {
             .collect())
     }
 
-    /// Whether `cell`'s finest-grid footprint intersects the query box and
-    /// its level is selected.
-    fn cell_selected(&self, cell: &Cell, query: &Query) -> bool {
-        if query.level_mask & (1 << cell.level) == 0 {
-            return false;
+    /// Which storage indices `query` selects: a cell whose level is
+    /// selected and whose finest-grid footprint meets the box. Per level,
+    /// the footprint of the cell at `c` meets `lo..=hi` exactly when
+    /// `lo >> s <= c <= hi >> s` on every axis (`s` = levels below), so
+    /// the box is shifted once per level, not per cell.
+    fn selection(&self, query: &Query) -> impl Fn(u32) -> bool + '_ {
+        let tree = &*self.tree;
+        let boxes: Vec<Option<([u32; 3], [u32; 3])>> = (0..=tree.max_level())
+            .map(|level| {
+                let shift = tree.max_level() - level;
+                let selected = query.level_mask & (1 << level) != 0;
+                selected.then(|| {
+                    (
+                        query.bbox_lo.map(|v| v >> shift),
+                        query.bbox_hi.map(|v| v >> shift),
+                    )
+                })
+            })
+            .collect();
+        let (rank, coords) = (tree.dim().rank(), tree.packed_coords());
+        let leaf_indices = match self.header.grouping() {
+            GroupingMode::LeafOnly => Some(tree.leaf_indices()),
+            GroupingMode::Chained => None,
+        };
+        move |storage| {
+            let cell = leaf_indices.map_or(storage, |l| l[storage as usize]) as usize;
+            let Some((lo, hi)) = boxes[tree.level_of(cell) as usize] else {
+                return false;
+            };
+            let c = CellCoord::unpack(coords[cell]);
+            let c = [c.x, c.y, c.z];
+            (0..rank).all(|a| lo[a] <= c[a] && c[a] <= hi[a])
         }
-        let shift = self.tree.max_level() - cell.level;
-        let side = 1u32 << shift;
-        let anchor = self.tree.anchor(cell);
-        let lo = [anchor.x, anchor.y, anchor.z];
-        (0..self.tree.dim().rank())
-            .all(|a| lo[a] <= query.bbox_hi[a] && query.bbox_lo[a] < lo[a] + side)
     }
 
     /// Answers a bounding-box / level query on `name`, decoding only the
@@ -1154,13 +1170,14 @@ impl<S: ByteSource> StoreReader<S> {
         let (chunks, damage) = self.settle(entry, attempts, policy)?;
 
         let perm = self.recipe.permutation();
+        let selects = self.selection(query);
         let mut hits: Vec<(u32, f64)> = Vec::new();
         for (i, values) in &chunks {
             let Some(values) = values else { continue };
             let range = self.stream_range(*i);
             for (pos, &value) in range.clone().zip(values.iter()) {
                 let storage = perm[pos];
-                if self.cell_selected(self.cell(storage), query) {
+                if selects(storage) {
                     hits.push((storage, value));
                 }
             }
@@ -1200,6 +1217,27 @@ mod tests {
             .write(&refs(&ds))
             .unwrap();
         (ds, out.bytes)
+    }
+
+    #[test]
+    fn a_warm_open_decodes_no_tree() {
+        let (ds, bytes) = sample_store(1024);
+        let cache = RecipeCache::new();
+        let cold = StoreReader::open_with_cache(&bytes, &cache).unwrap();
+        let warm = StoreReader::open_with_cache(&bytes, &cache).unwrap();
+        // One miss decoded the tree and built the recipe; the second open
+        // took both from the cache.
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert!(Arc::ptr_eq(cold.tree(), warm.tree()));
+        assert!(Arc::ptr_eq(&cold.recipe, &warm.recipe));
+        assert_eq!(warm.tree().cells(), ds.tree.cells());
+        let q = Query::bbox([0, 0, 0], [7, 7, 0]);
+        let (a, b) = (cold.query("density", &q), warm.query("density", &q));
+        assert_eq!(a.unwrap().values, b.unwrap().values);
+        // An uncached open decodes its own tree.
+        let fresh = StoreReader::open(&bytes).unwrap();
+        assert!(!Arc::ptr_eq(fresh.tree(), cold.tree()));
     }
 
     #[test]
@@ -1334,9 +1372,8 @@ mod tests {
         let finest_only = all.with_levels([reader.tree().max_level()]);
         let r = reader.query("density", &finest_only).unwrap();
         assert!(!r.storage_indices.is_empty());
-        let cells = ds.tree.cells();
         for &s in &r.storage_indices {
-            assert_eq!(cells[s as usize].level, ds.tree.max_level());
+            assert_eq!(ds.tree.cell(s as usize).level, ds.tree.max_level());
         }
         assert!(matches!(
             reader.query("density", &all.with_levels([])),

@@ -42,7 +42,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
-use zmesh::{codec_for, crc32, CompressionConfig, GroupingMode, RestoreRecipe, ZmeshError};
+use zmesh::{
+    codec_for, crc32, CompressionConfig, GroupingMode, RestoreRecipe, StreamKeys, ZmeshError,
+};
 use zmesh_amr::{AmrField, AmrTree};
 use zmesh_codecs::{Codec, CodecError, CodecParams, ErrorControl, ValueType};
 
@@ -348,7 +350,7 @@ impl StoreWriter {
         &self,
         tree: &AmrTree,
         recipe: &Arc<RestoreRecipe>,
-        keys: Option<Vec<u64>>,
+        keys: Option<StreamKeys>,
         chunk_values: usize,
     ) -> Arc<ChunkPlan> {
         // The lock is not held while planning: the plan runs on the rayon
@@ -360,15 +362,9 @@ impl StoreWriter {
             }
         }
         let (policy, grouping) = (recipe.policy(), recipe.grouping());
-        let keys = keys.or_else(|| RestoreRecipe::build_keyed(tree, policy, grouping).1);
+        let keys = keys.unwrap_or_else(|| RestoreRecipe::build_keyed(tree, policy, grouping).1);
         let perm = recipe.permutation();
-        let plan = Arc::new(plan_keyed(
-            tree,
-            perm,
-            keys.as_deref(),
-            grouping,
-            chunk_values,
-        ));
+        let plan = Arc::new(plan_keyed(tree, perm, &keys, grouping, chunk_values));
         *last() = Some((Arc::clone(recipe), Arc::clone(&plan)));
         plan
     }

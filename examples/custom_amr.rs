@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cells()
         .iter()
         .map(|c| {
-            let p = tree.cell_center(c);
+            let p = tree.cell_center(&c);
             (-((p[0] - p[1]) * 8.0).powi(2)).exp() + 0.1
         })
         .collect();

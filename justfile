@@ -64,6 +64,12 @@ bench-kernels:
 bench-codecs:
     CRITERION_JSON=BENCH_codecs.json cargo bench -p zmesh-bench --bench codecs
 
+# The two stages of a cold open alone — tree decode from structure bytes
+# (metadata/tree_rebuild) and recipe build — plus the stream permutation,
+# with machine-readable medians.
+bench-reorder:
+    CRITERION_JSON={{justfile_directory()}}/BENCH_reorder.json cargo bench -p zmesh-bench --bench reorder
+
 # Multi-client daemon traffic generator: QPS + p50/p95/p99 and cache hit
 # rates, written to BENCH_serve.json.
 bench-serve:
