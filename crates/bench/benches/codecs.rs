@@ -2,14 +2,14 @@
 //! AMR stream (MB/s figures quoted in EXPERIMENTS.md), and the Huffman
 //! entropy stage alone at two chunk sizes, so a change in its per-call
 //! fixed cost shows without a full perfbench run, and the SZ encode of
-//! four store chunks one stream at a time vs four lanes at once.
+//! `LANES` store chunks one stream at a time vs all lanes at once.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use zmesh::{linearize, OrderingPolicy};
 use zmesh_amr::datasets::{self, Scale};
 use zmesh_amr::StorageMode;
 use zmesh_codecs::lossless::huffman;
-use zmesh_codecs::sz::{quantize_streams, SzConfig};
+use zmesh_codecs::sz::{quantize_streams, SzConfig, LANES};
 use zmesh_codecs::{Codec, CodecParams, EntropyCoder, SzCodec, ZfpCodec};
 
 fn stream() -> Vec<f64> {
@@ -60,19 +60,20 @@ fn bench_huffman(c: &mut Criterion) {
     g.finish();
 }
 
-/// SZ encode of four consecutive store-sized chunks (256 and 8192 values)
-/// from the middle of the Standard stream, on one thread: `chunks_1`
-/// compresses them one `compress` call at a time (the scalar single-stream
-/// path), `chunks_4` in one `compress_chunks` run (the four-lane kernel
-/// where the CPU has AVX2). Same bytes out; throughput is values encoded.
+/// SZ encode of [`LANES`] consecutive store-sized chunks (256 and 8192
+/// values) from the middle of the Standard stream, on one thread:
+/// `chunks_1` compresses them one `compress` call at a time (the scalar
+/// single-stream path), `chunks_{LANES}` in one `compress_chunks` run (the
+/// lane kernel, two AVX2 vectors of four streams, where the CPU has AVX2).
+/// Same bytes out; throughput is values encoded.
 fn bench_sz_lanes(c: &mut Criterion) {
     let (data, eb) = standard_stream();
     let params = CodecParams::abs_1d(eb);
     let codec = SzCodec::new();
     let mut g = c.benchmark_group("sz_encode");
     for n in [256, 8192] {
-        let start = (data.len() / 2).min(data.len() - 4 * n);
-        let run = &data[start..start + 4 * n];
+        let start = (data.len() / 2).min(data.len() - LANES * n);
+        let run = &data[start..start + LANES * n];
         g.throughput(Throughput::Elements(run.len() as u64));
         g.bench_function(format!("chunks_1/{n}"), |b| {
             b.iter(|| {
@@ -81,7 +82,7 @@ fn bench_sz_lanes(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
         });
-        g.bench_function(format!("chunks_4/{n}"), |b| {
+        g.bench_function(format!("chunks_{LANES}/{n}"), |b| {
             b.iter(|| codec.compress_chunks(black_box(run), &params, n).unwrap())
         });
     }

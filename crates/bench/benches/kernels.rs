@@ -1,8 +1,8 @@
 //! Criterion bench: the three SIMD hot-loop kernels against their scalar
 //! references — GF(2⁸) fused multiply-accumulate (Reed–Solomon parity),
 //! the CRC-32 walk (scrub/read integrity), and the SZ predictor-selection
-//! / symbol-delta loops. Run via `just bench-kernels`; the driver writes
-//! `BENCH_kernels.json` through the CRITERION_JSON plumbing.
+//! / symbol-delta loops. Run via `just bench-kernels`, which writes the
+//! repository's `BENCH_kernels.json` through the CRITERION_JSON plumbing.
 //!
 //! Each `*_simd` entry times whatever tier the runtime probe dispatched to
 //! on this machine (see `zmesh_kernels::active()`); the `*_scalar` entry

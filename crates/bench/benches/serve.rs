@@ -5,8 +5,9 @@
 //!
 //! Complements `zmesh bench-serve` (the multi-client closed-loop traffic
 //! generator): this bench isolates single-request latency under
-//! criterion's timing harness. Run with
-//! `CRITERION_JSON=BENCH_serve_micro.json` for machine-readable medians.
+//! criterion's timing harness. Run via `just bench-serve-micro` to also
+//! write the machine-readable medians to the repository's
+//! `BENCH_serve_micro.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use zmesh::{CompressionConfig, OrderingPolicy};

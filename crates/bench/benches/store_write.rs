@@ -10,8 +10,8 @@
 //! `persist_store`. Together they separate pipeline overhead from disk
 //! I/O.
 //!
-//! Run with `CRITERION_JSON=BENCH_store_write.json` to emit the
-//! machine-readable medians next to the human-readable table.
+//! Run via `just bench-store-write` to also write the machine-readable
+//! medians to the repository's `BENCH_store_write.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use zmesh::{CompressionConfig, OrderingPolicy};

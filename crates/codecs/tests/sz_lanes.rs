@@ -256,6 +256,53 @@ fn every_lane_count_and_edge_length_matches_the_reference() {
 }
 
 #[test]
+fn cases_only_the_upper_lanes_see_match_the_reference() {
+    // Streams 0–3 stay clean and longest; each case disturbs streams
+    // 4..LANES alone (the second AVX2 vector of the lane kernel).
+    let clean: Vec<Vec<f64>> = (0..LANES)
+        .map(|l| stream(9000, 40 + l as u64, false, false, false))
+        .collect();
+    let check = |streams: &[Vec<f64>]| {
+        for eb in [0.0, 1e-4, 0.3] {
+            check_streams(streams, eb, false).unwrap();
+        }
+    };
+    // A lone escape, NaN or ±∞ in one upper stream.
+    for (k, lane) in (4..LANES).enumerate() {
+        let mut streams = clean.clone();
+        let at = 4096 + 300 * k;
+        streams[lane][at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e6][k % 4];
+        check(&streams);
+    }
+    // An upper stream ends first: only the second vector's tail is masked.
+    for lane in 4..LANES {
+        let mut streams = clean.clone();
+        streams[lane].truncate(5000 + lane);
+        check(&streams);
+    }
+    // Different predictors per vector: a smooth lower half, a noisy
+    // upper one.
+    let mut mixed = clean.clone();
+    for s in &mut mixed[4..] {
+        for (i, v) in s.iter_mut().enumerate() {
+            *v += if i % 2 == 0 { 0.5 } else { -0.5 };
+        }
+    }
+    let refs: Vec<&[f64]> = mixed.iter().map(Vec::as_slice).collect();
+    let tags: Vec<Vec<u8>> = quantize_streams(&refs, 1e-4, false, SzConfig::default().chunk_size)
+        .into_iter()
+        .map(|q| q.tags)
+        .collect();
+    assert_ne!(
+        tags[0], tags[4],
+        "the vectors must pick different predictors"
+    );
+    check(&mixed);
+    // Five streams: one real lane in the upper vector.
+    check(&clean[..5]);
+}
+
+#[test]
 fn chunked_payloads_equal_per_chunk_compress_and_the_reference() {
     let codec = SzCodec::new();
     // ±∞ would make the range-relative bound infinite: specials only

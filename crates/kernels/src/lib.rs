@@ -10,10 +10,11 @@
 //!   `PCLMULQDQ` on x86-64, the CRC extension on aarch64;
 //! * [`sz`] — the vectorizable pieces of the SZ predict–quantize–
 //!   reconstruct pipeline that stay **bit-identical** to the scalar code:
-//!   the 1-D predict + quantize loop over up to four independent streams
-//!   (one per AVX2 lane), the predictor-selection trial residual pass, and
-//!   the symbol→delta precompute that lifts the int→float convert +
-//!   multiply out of the sequential reconstruction chain.
+//!   the 1-D predict + quantize loop over up to eight independent streams
+//!   (one per lane of two AVX2 vectors), the predictor-selection trial
+//!   residual pass, and the symbol→delta precompute that lifts the
+//!   int→float convert + multiply out of the sequential reconstruction
+//!   chain.
 //!
 //! # Dispatch model
 //!

@@ -17,17 +17,25 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use zmesh::{GroupingMode, OrderingPolicy, RestoreRecipe, StreamKeys};
 use zmesh_amr::{AmrError, AmrTree};
 
-/// FNV-1a over the serialized tree structure — stable, dependency-free,
-/// and 64 bits is plenty for a cache key *because hits are verified*: the
-/// entry keeps the structure bytes it was built from and a lookup compares
-/// them before handing the recipe out, so a hash collision costs exactly
-/// one rebuild instead of silently returning the wrong permutation (see
-/// [`RecipeCache::get_or_build`]).
+/// FNV-1a over the serialized tree structure, one little-endian 8-byte
+/// word per step (a short last word zero-filled; the key's
+/// `structure_len` tells such a tail from real zeros) — stable,
+/// dependency-free, and 64 bits is plenty for a cache key *because hits
+/// are verified*: the entry keeps the structure bytes it was built from
+/// and a lookup compares them before handing the recipe out, so a hash
+/// collision costs exactly one rebuild instead of silently returning the
+/// wrong permutation (see [`RecipeCache::get_or_build`]).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(0x1000_0000_01b3);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        mix(h, u64::from_le_bytes(w.try_into().expect("8-byte word")))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
     }
     h
 }
@@ -61,7 +69,7 @@ struct Entry {
 }
 
 /// What a lookup hands back: the entry's tree and recipe, whether it was a
-/// hit, and on a miss the build's [`StreamKeys`].
+/// hit, and on a keyed miss the build's [`StreamKeys`].
 struct Lookup {
     tree: Arc<AmrTree>,
     recipe: Arc<RestoreRecipe>,
@@ -169,7 +177,8 @@ impl RecipeCache {
         policy: OrderingPolicy,
         grouping: GroupingMode,
     ) -> (Arc<RestoreRecipe>, bool) {
-        let found = self.lookup_with(cache_key(structure, policy, grouping), structure, tree);
+        let key = cache_key(structure, policy, grouping);
+        let found = self.lookup_with(key, structure, tree, false);
         (found.recipe, found.hit)
     }
 
@@ -184,14 +193,16 @@ impl RecipeCache {
         policy: OrderingPolicy,
         grouping: GroupingMode,
     ) -> (Arc<RestoreRecipe>, bool, Option<StreamKeys>) {
-        let found = self.lookup_with(cache_key(structure, policy, grouping), structure, tree);
+        let key = cache_key(structure, policy, grouping);
+        let found = self.lookup_with(key, structure, tree, true);
         (found.recipe, found.hit, found.keys)
     }
 
     /// The tree and recipe of `structure` for a reader, decoding the tree
     /// ([`AmrTree::from_structure_bytes`]) and building the recipe only on
     /// a miss. A hit hands out the tree the entry was built over, so a
-    /// warm open decodes nothing.
+    /// warm open decodes nothing. A reader plans no chunks, so its build
+    /// records no [`StreamKeys`].
     pub(crate) fn get_or_decode(
         &self,
         structure: &[u8],
@@ -200,14 +211,14 @@ impl RecipeCache {
     ) -> Result<(Arc<AmrTree>, Arc<RestoreRecipe>, bool), AmrError> {
         let key = cache_key(structure, policy, grouping);
         let decode = || AmrTree::from_structure_bytes(structure).map(Arc::new);
-        let found = self.lookup(key, structure, decode)?;
+        let found = self.lookup(key, structure, decode, false)?;
         Ok((found.tree, found.recipe, found.hit))
     }
 
     /// [`RecipeCache::lookup`] over a tree the caller already holds.
-    fn lookup_with(&self, key: Key, structure: &[u8], tree: &Arc<AmrTree>) -> Lookup {
+    fn lookup_with(&self, key: Key, structure: &[u8], tree: &Arc<AmrTree>, keyed: bool) -> Lookup {
         let given = || Ok::<_, std::convert::Infallible>(Arc::clone(tree));
-        match self.lookup(key, structure, given) {
+        match self.lookup(key, structure, given, keyed) {
             Ok(found) => found,
             Err(never) => match never {},
         }
@@ -215,12 +226,15 @@ impl RecipeCache {
 
     /// The lookup behind every entry point, with the key precomputed (so
     /// tests can force a key collision without searching for real FNV
-    /// collisions) and the tree obtained from `tree` only on a miss.
+    /// collisions) and the tree obtained from `tree` only on a miss. A
+    /// `keyed` miss builds with [`RestoreRecipe::build_keyed`] and hands
+    /// the keys out; any other miss builds the recipe alone.
     fn lookup<E>(
         &self,
         key: Key,
         structure: &[u8],
         tree: impl FnOnce() -> Result<Arc<AmrTree>, E>,
+        keyed: bool,
     ) -> Result<Lookup, E> {
         let mut collided = false;
         if let Some(entry) = self.lock_map().0.get(&key) {
@@ -241,7 +255,12 @@ impl RecipeCache {
         // Decode and build outside the lock: each walks every cell, the
         // cost this cache exists to amortize.
         let tree = tree()?;
-        let (recipe, keys) = RestoreRecipe::build_keyed(&tree, key.policy, key.grouping);
+        let (recipe, keys) = if keyed {
+            let (recipe, keys) = RestoreRecipe::build_keyed(&tree, key.policy, key.grouping);
+            (recipe, Some(keys))
+        } else {
+            (RestoreRecipe::build(&tree, key.policy, key.grouping), None)
+        };
         let recipe = Arc::new(recipe);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Entry {
@@ -264,7 +283,7 @@ impl RecipeCache {
             tree,
             recipe,
             hit: false,
-            keys: Some(keys),
+            keys,
         })
     }
 
@@ -337,6 +356,17 @@ mod tests {
         let level = OrderingPolicy::LevelOrder;
         let (_, hit, keys) = cache.get_or_build_with_keys(&t, &s, level, grouping);
         assert!(!hit && keys.is_some_and(|k| k.curve.is_none()));
+        // A reader's miss and a plain build key nothing, and build the
+        // same recipe the keyed build would.
+        let z = OrderingPolicy::ZOrder;
+        let decode = || AmrTree::from_structure_bytes(&s).map(Arc::new);
+        let read = cache
+            .lookup(cache_key(&s, z, grouping), &s, decode, false)
+            .unwrap();
+        assert!(!read.hit && read.keys.is_none());
+        assert_eq!(*read.recipe, RestoreRecipe::build_keyed(&t, z, grouping).0);
+        let plain = cache.lookup_with(cache_key(&s, z, GroupingMode::Chained), &s, &t, false);
+        assert!(!plain.hit && plain.keys.is_none());
     }
 
     #[test]
@@ -390,8 +420,8 @@ mod tests {
             policy: OrderingPolicy::Hilbert,
             grouping: GroupingMode::LeafOnly,
         };
-        let a = cache.lookup_with(forged, &s8, &t8);
-        let b = cache.lookup_with(forged, &s4, &t4);
+        let a = cache.lookup_with(forged, &s8, &t8, false);
+        let b = cache.lookup_with(forged, &s4, &t4, false);
         let (hit_a, hit_b, a, b) = (a.hit, b.hit, a.recipe, b.recipe);
         assert!(!hit_a);
         assert!(!hit_b, "collision must not be reported as a hit");
@@ -405,8 +435,33 @@ mod tests {
             "colliding entry is replaced, not duplicated"
         );
         // The replacement now serves t4 as a verified hit.
-        let c = cache.lookup_with(forged, &s4, &t4);
+        let c = cache.lookup_with(forged, &s4, &t4, false);
         assert!(c.hit && Arc::ptr_eq(&c.tree, &t4));
+    }
+
+    #[test]
+    fn a_trailing_partial_word_enters_the_key() {
+        // Lengths that leave 1..=7 bytes after the last whole word, and
+        // structures that differ only in the last of those bytes (or only
+        // in length): each must miss the other, not collide.
+        let t = tree(8);
+        let (policy, grouping) = (OrderingPolicy::Hilbert, GroupingMode::LeafOnly);
+        for len in (0..24).filter(|len| len % 8 != 0) {
+            let mut a: Vec<u8> = (0..len).map(|i| (i * 37 + 1) as u8).collect();
+            let mut b = a.clone();
+            *b.last_mut().unwrap() ^= 0x80;
+            assert_ne!(fnv1a(&a), fnv1a(&b), "len {len}");
+            let cache = RecipeCache::new();
+            for s in [&a, &b] {
+                let found = cache.lookup_with(cache_key(s, policy, grouping), s, &t, false);
+                assert!(!found.hit, "len {len}");
+            }
+            a.push(0);
+            let found = cache.lookup_with(cache_key(&a, policy, grouping), &a, &t, false);
+            assert!(!found.hit, "len {len} + a zero byte");
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.collisions), (3, 0), "len {len}");
+        }
     }
 
     #[test]

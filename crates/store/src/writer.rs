@@ -8,7 +8,7 @@
 //! storage-order values (a min/max fold does not depend on order).
 //!
 //! The encode fans out over **fields × runs of chunks**: a job is a run of
-//! up to four consecutive chunks of one field. It gathers its own stream
+//! up to eight consecutive chunks of one field. It gathers its own stream
 //! positions through `recipe.permutation()` into a job-local buffer and
 //! hands that to [`Codec::compress_chunks`] in one call. Every chunk is still its own
 //! independently decodable stream; the run only lets the SZ codec advance
@@ -197,7 +197,7 @@ pub struct StreamOptions {
     /// Ceiling on raw (uncompressed) chunk bytes admitted into the
     /// compress→write window at once — the encode-buffer memory bound.
     /// `0` disables the bound (every job may be in flight at once). A job
-    /// (a run of up to four chunks) is shortened until its raw bytes fit
+    /// (a run of up to eight chunks) is shortened until its raw bytes fit
     /// the window, so the bound holds per job as well. A window smaller
     /// than one chunk degrades gracefully to one single-chunk job at a
     /// time; it never deadlocks.
@@ -545,7 +545,7 @@ pub(crate) fn encode_run(
 
 impl StoreWriter {
     /// Streams `fields` into `sink` through a bounded compress→write
-    /// window: encoder threads compress jobs (runs of up to four chunks of
+    /// window: encoder threads compress jobs (runs of up to eight chunks of
     /// one field, each shortened until its raw bytes fit the window) ahead
     /// of the writer while this thread lays finished chunks out in layout
     /// order, then the parity section, footer, trailer, and commit record,

@@ -52,17 +52,17 @@ write-crash-smoke:
 # Buffered vs streaming store write bench (throughput + peak buffer /
 # peak RSS), with machine-readable medians.
 bench-store-write:
-    CRITERION_JSON=BENCH_store_write.json cargo bench -p zmesh-bench --bench store_write
+    CRITERION_JSON={{justfile_directory()}}/BENCH_store_write.json cargo bench -p zmesh-bench --bench store_write
 
 # SIMD kernel tiers vs their scalar references (GF(2⁸) fma, CRC-32 walk,
 # SZ selection/delta loops), with machine-readable medians.
 bench-kernels:
-    CRITERION_JSON=BENCH_kernels.json cargo bench -p zmesh-bench --bench kernels
+    CRITERION_JSON={{justfile_directory()}}/BENCH_kernels.json cargo bench -p zmesh-bench --bench kernels
 
 # SZ/ZFP codec throughput and the Huffman entropy stage alone at store
 # chunk sizes (256 and 8192 values), with machine-readable medians.
 bench-codecs:
-    CRITERION_JSON=BENCH_codecs.json cargo bench -p zmesh-bench --bench codecs
+    CRITERION_JSON={{justfile_directory()}}/BENCH_codecs.json cargo bench -p zmesh-bench --bench codecs
 
 # The two stages of a cold open alone — tree decode from structure bytes
 # (metadata/tree_rebuild) and recipe build — plus the stream permutation,
@@ -77,7 +77,7 @@ bench-serve:
 
 # Single-request daemon latency under criterion (cold vs warm chunk LRU).
 bench-serve-micro:
-    CRITERION_JSON=BENCH_serve_micro.json cargo bench -p zmesh-bench --bench serve
+    CRITERION_JSON={{justfile_directory()}}/BENCH_serve_micro.json cargo bench -p zmesh-bench --bench serve
 
 # The repo benchmark (BENCHMARK.json's command; see perfbench/README.md):
 # one workload (pack, cold-read or serve) end to end, one JSON result line.
